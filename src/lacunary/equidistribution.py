@@ -271,14 +271,23 @@ def equidistribution_scan(
 # -- sup norms on root-of-unity grids ----------------------------------------
 
 
-def grid_values(spectrum: Mapping[int, complex], grid_size: int) -> np.ndarray:
-    """f at the grid_size-th roots of unity, frequencies folded mod the grid."""
+def _grid_values(freqs: Sequence[int] | np.ndarray, coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
+    if isinstance(freqs, np.ndarray):
+        bins = np.mod(freqs, grid_size)
+    else:  # Python ints reduce exactly at any size
+        bins = np.fromiter((n % grid_size for n in freqs), dtype=np.int64, count=len(freqs))
     arr = np.zeros(grid_size, dtype=complex)
-    for n, c in spectrum.items():
-        arr[n % grid_size] += c
+    # unbuffered and in input order: colliding bins sum in the same order as
+    # a term-by-term loop, so the result is bit-identical to one
+    np.add.at(arr, bins, coeffs)
     return np.fft.ifft(arr) * grid_size
+
+
+def grid_values(spectrum: Mapping[int, complex], grid_size: int) -> np.ndarray:
+    """f at the grid_size-th roots of unity, frequencies folded mod the grid."""
+    return _grid_values(list(spectrum), np.array(list(spectrum.values()), dtype=complex), grid_size)
 
 
 @dataclass(frozen=True)
@@ -313,9 +322,22 @@ def sup_norm_via_grid(
     certificate flag is withdrawn: the value is then only a lower estimate.
     """
     support = {n: c for n, c in spectrum.items() if c != 0}
-    if not support:
+    coeffs = np.array(list(support.values()), dtype=complex)
+    N = max((abs(n) for n in support), default=0)
+    return _grid_sup(list(support), coeffs, N, grid_cap, grid_size)
+
+
+def _grid_sup(
+    freqs: Sequence[int] | np.ndarray,
+    coeffs: np.ndarray,
+    N: int,
+    grid_cap: int,
+    grid_size: int | None = None,
+) -> GridSupReport:
+    """sup_norm_via_grid on a support already cut to nonzero coefficients,
+    whose largest |frequency| is N."""
+    if len(coeffs) == 0:
         return GridSupReport(0.0, 0.0, True, 1, False, 0)
-    N = max(abs(n) for n in support)
     natural = max(4 * N, 1)
     if grid_size is None:
         M = min(natural, grid_cap)
@@ -323,7 +345,7 @@ def sup_norm_via_grid(
     else:
         M = int(grid_size)
         cap_active = False
-    vals = grid_values(support, M)
+    vals = _grid_values(freqs, coeffs, M)
     S = float(np.max(np.abs(vals)))
     return GridSupReport(
         coarse_sup=S,
@@ -384,18 +406,22 @@ def psi(
     if sigma_k <= 0:
         raise ValueError("psi undefined: sigma_k = 0")
     prefix = E.elements[:k]
-    flags = [n in trial.selected for n in prefix]
-    count = sum(flags)
+    members = frozenset(trial.selected.elements)
+    flags = np.fromiter(map(members.__contains__, prefix), dtype=bool, count=k)
+    count = int(np.count_nonzero(flags))
     if count == 0:
         raise ValueError("psi undefined: empty selection prefix")
     sigma_f = float(sigma_k)
-    spectrum: dict[int, complex] = {}
-    for n, d, sel in zip(prefix, schedule.densities, flags):
-        c = (1.0 / count if sel else 0.0) - float(d) / sigma_f
-        if c != 0.0:
-            spectrum[n] = c
-    report = sup_norm_via_grid(spectrum, grid_cap=grid_cap)
+    coeffs = np.where(flags, 1.0 / count, 0.0) - schedule.density_floats()[:k] / sigma_f
+    # zero coefficients leave the support, and with it the degree N
+    keep = np.flatnonzero(coeffs != 0.0)
+    N = abs(prefix[keep[-1]]) if len(keep) else 0
     n_k = abs(prefix[-1])
+    if n_k < _INT64_SAFE:
+        freqs = np.array(prefix, dtype=np.int64)[keep]
+    else:
+        freqs = [prefix[i] for i in keep.tolist()]
+    report = _grid_sup(freqs, coeffs[keep], N, grid_cap)
     a_k = math.sqrt(12.0 * sigma_f * ln_int(n_k)) if n_k > 1 else None
     return PsiPoint(
         k=k,

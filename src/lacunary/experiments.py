@@ -101,6 +101,10 @@ class ExperimentConfig:
     label: str = ""
     schema: int = 1
 
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+
     def to_json_dict(self) -> dict:
         return {
             "schema": self.schema,
@@ -129,6 +133,9 @@ class ExperimentConfig:
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         if doc.get("schema", 1) != 1:
             raise ValueError(f"unsupported config schema {doc.get('schema')!r}")
+        missing = [key for key in ("source", "partition", "schedule") if key not in doc]
+        if missing:
+            raise ValueError(f"config lacks {', '.join(missing)}")
         return cls(
             source=doc["source"],
             partition=doc["partition"],
@@ -307,17 +314,20 @@ def _tail_blocks(env: _Env, tail_start: int) -> list[int]:
     return [k for k in range(tail_start, env.partition.block_count)]
 
 
-# -- block independence pipeline ----------------------------------------------
+# -- trial kernel -------------------------------------------------------------
 
 
-def _block_independence_batch(cfg_doc: dict, indices: Sequence[int]) -> list[dict]:
-    config = ExperimentConfig.from_json_dict(cfg_doc)
-    env = _build_env(config)
+def _trial_rows(
+    config: ExperimentConfig, env: _Env, indices: Sequence[int], psi_ks: Sequence[int]
+) -> list[dict]:
+    """Each trial of both pipelines: select, split the selection into blocks,
+    test every block for s-independence and take psi at psi_ks. Trial 0's
+    row also carries its selected set, which the certification scan reads."""
     out = []
     for t in indices:
         trial = select(env.source, env.schedule, trial_seed(config.seed, t))
         picked = decompose(trial.selected, env.partition)
-        row = {
+        row: dict = {
             "trial": t,
             "block_counts": [len(b) for b in picked.blocks],
             "dependent": {
@@ -327,18 +337,38 @@ def _block_independence_batch(cfg_doc: dict, indices: Sequence[int]) -> list[dic
                 for s in config.s_values
             },
         }
+        if psi_ks:
+            psi_vals = {}
+            for k in psi_ks:
+                try:
+                    psi_vals[str(k)] = psi(env.source, trial, env.schedule, k, config.grid_cap).value
+                except ValueError:
+                    psi_vals[str(k)] = None
+            row["psi"] = psi_vals
+        if t == 0:
+            row["selected"] = trial.selected
         out.append(row)
     return out
+
+
+def _pool_rows(cfg_doc: dict, indices: Sequence[int], psi_ks: Sequence[int]) -> list[dict]:
+    # a pool worker starts from the config alone and builds its own env
+    config = ExperimentConfig.from_json_dict(cfg_doc)
+    return _trial_rows(config, _build_env(config), indices, psi_ks)
+
+
+# -- block independence pipeline ----------------------------------------------
 
 
 def run_block_independence(config: ExperimentConfig, threads: int = 1) -> ExperimentRecord:
     """Monte Carlo per-block s-independence frequencies against the
     probability bound, plus the law-of-large-numbers block-count check."""
+    _check_threads(threads)
     start = time.monotonic()
     env = _build_env(config)
     if env.schedule.blocks is None:
         raise ValueError("block independence pipeline needs a blockwise schedule")
-    rows = _fan_out(_block_independence_batch, config, threads)
+    rows = _fan_out(config, env, threads, psi_ks=())
 
     n_blocks = env.partition.block_count
     trials = config.trials
@@ -412,40 +442,11 @@ def _psi_ks(config: ExperimentConfig, size: int) -> list[int]:
     return [k for k in ks if k <= size]
 
 
-def _certification_batch(cfg_doc: dict, indices: Sequence[int]) -> list[dict]:
-    config = ExperimentConfig.from_json_dict(cfg_doc)
-    env = _build_env(config)
-    ks = _psi_ks(config, len(env.source))
-    out = []
-    for t in indices:
-        trial = select(env.source, env.schedule, trial_seed(config.seed, t))
-        picked = decompose(trial.selected, env.partition)
-        row: dict = {
-            "trial": t,
-            "block_counts": [len(b) for b in picked.blocks],
-            "dependent": {
-                str(s): [
-                    0 if is_s_independent(blk, s).independent else 1 for blk in picked.blocks
-                ]
-                for s in config.s_values
-            },
-        }
-        if config.compute_psi:
-            psi_vals = {}
-            for k in ks:
-                try:
-                    psi_vals[str(k)] = psi(env.source, trial, env.schedule, k, config.grid_cap).value
-                except ValueError:
-                    psi_vals[str(k)] = None
-            row["psi"] = psi_vals
-        out.append(row)
-    return out
-
-
 def run_certification(config: ExperimentConfig, threads: int = 1) -> ExperimentRecord:
     """Growth gate, schedule diagnostics, per-block independence frequencies,
     selection discrepancy decay, and an equidistribution scan of one selected
     subset, in a single record."""
+    _check_threads(threads)
     start = time.monotonic()
     env = _build_env(config)
     growth = classify_growth(env.source)
@@ -454,9 +455,9 @@ def run_certification(config: ExperimentConfig, threads: int = 1) -> ExperimentR
     if env.schedule.blocks is None:
         raise ValueError("certification pipeline needs a blockwise schedule")
 
-    rows = _fan_out(_certification_batch, config, threads)
-    trials = config.trials
     ks = _psi_ks(config, len(env.source))
+    rows = _fan_out(config, env, threads, psi_ks=ks if config.compute_psi else ())
+    trials = config.trials
 
     blocks_table = []
     for k in range(env.partition.block_count):
@@ -506,8 +507,7 @@ def run_certification(config: ExperimentConfig, threads: int = 1) -> ExperimentR
 
     scan_stage = None
     if config.compute_scan:
-        first_trial = select(env.source, env.schedule, trial_seed(config.seed, 0))
-        picked = first_trial.selected
+        picked = rows[0]["selected"]
         if len(picked) >= 1:
             m = len(picked)
             cps = sorted({max(1, math.ceil(m * (i + 1) / config.scan_checkpoints)) for i in range(config.scan_checkpoints)})
@@ -559,17 +559,22 @@ def run_certification(config: ExperimentConfig, threads: int = 1) -> ExperimentR
 # -- worker fan-out -----------------------------------------------------------
 
 
-def _fan_out(batch_fn, config: ExperimentConfig, threads: int) -> list[dict]:
-    """Run per-trial batches, sequentially or across a process pool; results
-    are folded in trial order so the record is identical either way."""
-    cfg_doc = config.to_json_dict()
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
+def _fan_out(config: ExperimentConfig, env: _Env, threads: int, psi_ks: Sequence[int]) -> list[dict]:
+    """Run the trials in order on the caller's env, or split across a process
+    pool whose workers build their own; results are folded in trial order so
+    the record is identical either way."""
     indices = list(range(config.trials))
-    if threads <= 1:
-        return batch_fn(cfg_doc, indices)
     threads = min(threads, len(indices), os.cpu_count() or 1)
+    if threads <= 1:
+        return _trial_rows(config, env, indices, psi_ks)
     chunks = [indices[i::threads] for i in range(threads)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(batch_fn, [cfg_doc] * len(chunks), chunks))
+        parts = list(pool.map(_pool_rows, [config.to_json_dict()] * threads, chunks, [psi_ks] * threads))
     merged = [row for part in parts for row in part]
     merged.sort(key=lambda row: row["trial"])
     return merged

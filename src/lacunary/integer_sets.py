@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress, islice
 from typing import Iterable, Sequence
 
 from ._util import ln_int
@@ -33,10 +34,13 @@ class IntegerSet:
 
     def __post_init__(self) -> None:
         elems = tuple(self.elements)
-        if list(elems) != sorted(set(elems), key=_abs_order_key):
+        abs_vals = tuple(map(abs, elems))
+        # strictly increasing (|n|, n) keys mean sorted and duplicate-free
+        keys = list(zip(abs_vals, elems))
+        if any(map(operator.ge, keys, islice(keys, 1, None))):
             raise ValueError("elements must be duplicate-free and sorted by |n| (negative first on ties)")
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_abs", tuple(abs(n) for n in elems))
+        object.__setattr__(self, "_abs", abs_vals)
         object.__setattr__(self, "_members", frozenset(elems))
 
     @classmethod
@@ -61,12 +65,6 @@ class IntegerSet:
         if t < 0:
             raise ValueError("distribution function takes a nonnegative threshold")
         return bisect_right(self._abs, t)  # type: ignore[attr-defined]
-
-    def prefix(self, k: int) -> tuple[int, ...]:
-        """First k elements in |n| order."""
-        if not 0 <= k <= len(self.elements):
-            raise ValueError("prefix length out of range")
-        return self.elements[:k]
 
     # -- serialization ------------------------------------------------------
 
@@ -138,7 +136,7 @@ def generate_primes(limit: int) -> IntegerSet:
         if sieve[p]:
             start = p * p
             sieve[start :: p] = bytearray(len(range(start, limit + 1, p)))
-    return IntegerSet(tuple(i for i in range(2, limit + 1) if sieve[i]), f"primes<={limit}")
+    return IntegerSet(tuple(compress(range(limit + 1), sieve)), f"primes<={limit}")
 
 
 def generate_geometric(base: int, k_max: int) -> IntegerSet:

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._util import ln_int, log2_int
+from ._util import ln_int
 from .integer_sets import IntegerSet
 
 GROSS_RATIO_THRESHOLD = 1.5
@@ -211,7 +211,3 @@ def verify_block_growth(D: BlockDecomposition, tail_start: int = 1) -> BlockGrow
         empty_tail_blocks=empties,
     )
 
-
-def log2_cut(partition: Partition, k: int) -> float:
-    """log2 of cut point p_k, bignum-safe (used for schedule diagnostics)."""
-    return log2_int(partition.cut_points[k])

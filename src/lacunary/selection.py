@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -115,9 +116,20 @@ class DensitySchedule:
             return total
         return sum(self.densities[:k], Fraction(0))
 
+    def density_floats(self) -> np.ndarray:
+        """float(delta_j) for every element, converting each run of one shared
+        density object once: blockwise schedules repeat a single Fraction per
+        block."""
+        values, counts = [], []
+        for _, run in groupby(self.densities, key=id):
+            run = tuple(run)
+            values.append(float(run[0]))
+            counts.append(len(run))
+        return np.repeat(np.array(values, dtype=np.float64), counts)
+
     def sigma_float(self) -> np.ndarray:
         """Approximate partial sums sigma_1..sigma_K for diagnostics."""
-        return np.cumsum(np.array([float(d) for d in self.densities]))
+        return np.cumsum(self.density_floats())
 
     def aligned_with(self, E: IntegerSet) -> bool:
         return self.elements == E.elements

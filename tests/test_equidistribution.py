@@ -289,6 +289,57 @@ def test_psi_matches_direct_mean_difference():
     assert got.value == pytest.approx(best, abs=1e-10)
 
 
+def _psi_dict_spectrum(E, trial, sched, k):
+    """psi's spectrum built term by term into a dict, as sup_norm_via_grid takes it."""
+    prefix = E.elements[:k]
+    flags = [n in trial.selected for n in prefix]
+    count = sum(flags)
+    sigma_f = float(sched.sigma_at(k))
+    spectrum = {}
+    for n, d, sel in zip(prefix, sched.densities, flags):
+        c = (1.0 / count if sel else 0.0) - float(d) / sigma_f
+        if c != 0.0:
+            spectrum[n] = c
+    return spectrum
+
+
+def _loop_grid_values(spectrum, M):
+    arr = np.zeros(M, dtype=complex)
+    for n, c in spectrum.items():
+        arr[n % M] += c
+    return np.fft.ifft(arr) * M
+
+
+@pytest.mark.parametrize("source", ["primes", "geometric"])
+def test_psi_array_path_equals_dict_path(source):
+    # exact equality: the array path must fold and sum in the dict path's order
+    if source == "primes":
+        E = generate_primes(2**14)
+        D = decompose(E, dyadic_partition(14))
+        sched = blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)])
+        k, cap = len(E), 1 << 12
+    else:
+        E = generate_geometric(3, 200)  # past int64 from 3^40 on
+        sched = uniform_schedule(E, Fraction(1, 3))
+        k, cap = 150, 1 << 12
+    trial = select(E, sched, 5)
+    got = psi(E, trial, sched, k, cap)
+    spectrum = _psi_dict_spectrum(E, trial, sched, k)
+    ref = sup_norm_via_grid(spectrum, grid_cap=cap)
+    assert got.cap_active and not got.certified and got.grid_size == cap
+    assert (got.value, got.certified_bound, got.grid_size) == (ref.coarse_sup, ref.bound, ref.grid_size)
+    assert got.value == float(np.max(np.abs(_loop_grid_values(spectrum, cap))))
+    if source == "primes":
+        assert len({n % cap for n in spectrum}) < len(spectrum)  # bins collide
+
+
+def test_grid_values_equal_loop_reference():
+    # colliding bins, negative and bignum frequencies, complex coefficients
+    spectrum = {-3: 1.0, 2: -0.5 + 0.25j, 61: 2.0, 3**50: 0.1, -(3**45): -0.3j, 125: 1 / 3}
+    for M in (64, 7, 1):
+        assert np.array_equal(grid_values(spectrum, M), _loop_grid_values(spectrum, M))
+
+
 def test_psi_series_diagnostics():
     E = generate_polynomial([0, 0, 1], 3000)
     D = decompose(E, dyadic_partition(24))

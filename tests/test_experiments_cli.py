@@ -92,6 +92,42 @@ def test_block_independence_threaded_matches_sequential():
     assert seq.canonical_payload() == par.canonical_payload()
 
 
+def test_certification_threaded_matches_sequential():
+    # the scan reads trial 0's selection from whichever worker ran trial 0
+    cfg = small_cert_config(trials=4)
+    seq = run_certification(cfg, threads=1)
+    par = run_certification(cfg, threads=2)
+    assert seq.canonical_payload() == par.canonical_payload()
+
+
+@pytest.mark.parametrize(
+    "run, cfg",
+    [
+        (run_certification, small_cert_config(trials=3)),
+        (run_block_independence, small_block_config(trials=3)),
+    ],
+    ids=["certification", "block_independence"],
+)
+def test_sequential_run_builds_env_and_selects_once(monkeypatch, run, cfg):
+    from lacunary import experiments
+
+    calls = {"build_source": 0, "select": 0}
+
+    def counted(name):
+        real = getattr(experiments, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counted(name))
+    run(cfg, threads=1)
+    assert calls == {"build_source": 1, "select": cfg.trials}
+
+
 def test_more_threads_than_trials():
     cfg = small_block_config(trials=3)
     seq = run_block_independence(cfg, threads=1)
@@ -374,6 +410,26 @@ def test_cli_precondition_exit_code(tmp_path, capsys):
     bad.write_text("1\n2\n")
     code = main(["select", "--set", str(bad)])  # neither density nor schedule
     assert code == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize(
+    "edit, argv",
+    [
+        (lambda doc: doc.update(trials=0), []),
+        (lambda doc: doc.pop("source"), []),
+        (lambda doc: None, ["--threads", "-3"]),
+    ],
+    ids=["zero_trials", "no_source", "negative_threads"],
+)
+def test_cli_pipeline_bad_input_exits_3(tmp_path, capsys, edit, argv):
+    doc = small_cert_config(trials=2).to_json_dict()
+    edit(doc)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(doc))
+    code = main(["--config", str(cfgfile), "--out", str(tmp_path), *argv, "pipeline", "certify"])
+    assert code == EXIT_PRECONDITION
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "records").exists()
 
 
 def test_cli_usage_error_exits_2():

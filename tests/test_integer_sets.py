@@ -28,6 +28,10 @@ def test_duplicates_rejected_in_constructor():
         IntegerSet((1, 1, 2))
     with pytest.raises(ValueError):
         IntegerSet((2, 1))  # wrong order
+    with pytest.raises(ValueError):
+        IntegerSet((3, -3))  # ties put the negative first
+    with pytest.raises(ValueError):
+        IntegerSet((-3, -3))
 
 
 def test_generation_is_deterministic():
