@@ -43,11 +43,6 @@ def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def wilson_half_width(successes: int, trials: int, z: float = Z_99) -> float:
-    lo, hi = wilson_interval(successes, trials, z)
-    return (hi - lo) / 2.0
-
-
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON used for hashing and golden comparisons."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)

@@ -12,10 +12,11 @@ import datetime as _dt
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -43,7 +44,7 @@ from .partitions import (
     gross_partition,
     verify_block_growth,
 )
-from .relations import dependence_probability_bound, is_s_independent
+from .relations import DEFAULT_S_MAX, dependence_probability_bound, is_s_independent
 from .selection import (
     DensitySchedule,
     blockwise_schedule,
@@ -79,8 +80,34 @@ class GrowthGateError(ValueError):
         )
 
 
+# config.thresholds may name a subset of these; the rest keep their default
+DEFAULT_THRESHOLDS = {"tail_independence": 0.95, "psi_decay": 0.90}
+
+# per field annotation: the JSON shape from_json_dict accepts and the coercion
+# it applies; tuple fields arrive as arrays
+_SHAPES = {
+    "dict": ("an object", dict, dict),
+    "int": ("an integer", int, int),
+    "bool": ("true or false", bool, bool),
+    "str": ("a string", str, str),
+}
+_ARRAY = ("an array", list, tuple)
+
+
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {rule}, got {value!r}")
+
+
+def _in_range(values, lo, hi, kind=numbers.Real) -> bool:
+    return all(isinstance(v, kind) and lo <= v <= hi for v in values)
+
+
 @dataclass
 class ExperimentConfig:
+    """The experiment contract. Its fields are the only statement of the
+    config schema: JSON keys, defaults and coercions all derive from them."""
+
     source: dict
     partition: dict
     schedule: dict
@@ -92,9 +119,7 @@ class ExperimentConfig:
     psi_fractions: tuple[float, ...] = (0.25, 1.0)
     scan_points: tuple[str, ...] = DEFAULT_SCAN_POINTS
     scan_checkpoints: int = 4
-    thresholds: dict = field(
-        default_factory=lambda: {"tail_independence": 0.95, "psi_decay": 0.90}
-    )
+    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
     compute_psi: bool = True
     compute_scan: bool = True
     out_dir: str = ""
@@ -102,58 +127,54 @@ class ExperimentConfig:
     schema: int = 1
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.schema != 1:
+            raise ValueError(f"unsupported config schema {self.schema!r}")
+        for key, table in (("source", _SOURCES), ("partition", _PARTITIONS), ("schedule", _SCHEDULES)):
+            spec = getattr(self, key)
+            _require(isinstance(spec, dict), key, "an object", spec)
+            _builder(table, key, spec)
+        _require(
+            bool(self.s_values) and _in_range(self.s_values, 2, DEFAULT_S_MAX, numbers.Integral),
+            "s_values", f"a nonempty list of integers in 2..{DEFAULT_S_MAX}", self.s_values,
+        )
+        _require(
+            set(self.thresholds) <= set(DEFAULT_THRESHOLDS) and _in_range(self.thresholds.values(), 0, 1),
+            "thresholds", f"an object mapping {' or '.join(DEFAULT_THRESHOLDS)} to [0, 1]", self.thresholds,
+        )
+        _require(
+            all(isinstance(f, numbers.Real) and 0 < f <= 1 for f in self.psi_fractions),
+            "psi_fractions", "a list of numbers in (0, 1]", self.psi_fractions,
+        )
+        for key, low in (("trials", 1), ("grid_cap", 1), ("scan_checkpoints", 1), ("tail_start", 0)):
+            _require(getattr(self, key) >= low, key, f">= {low}", getattr(self, key))
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "label": self.label,
-            "out_dir": self.out_dir,
-            "source": self.source,
-            "partition": self.partition,
-            "schedule": self.schedule,
-            "s_values": list(self.s_values),
-            "trials": self.trials,
-            "seed": self.seed,
-            "tail_start": self.tail_start,
-            "grid_cap": self.grid_cap,
-            "psi_fractions": list(self.psi_fractions),
-            "scan_points": list(self.scan_points),
-            "scan_checkpoints": self.scan_checkpoints,
-            "thresholds": self.thresholds,
-            "compute_psi": self.compute_psi,
-            "compute_scan": self.compute_scan,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in doc.items()}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        if doc.get("schema", 1) != 1:
-            raise ValueError(f"unsupported config schema {doc.get('schema')!r}")
-        missing = [key for key in ("source", "partition", "schedule") if key not in doc]
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(doc) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
+        missing = [
+            name for name, f in known.items()
+            if f.default is MISSING and f.default_factory is MISSING and name not in doc
+        ]
         if missing:
             raise ValueError(f"config lacks {', '.join(missing)}")
-        return cls(
-            source=doc["source"],
-            partition=doc["partition"],
-            schedule=doc["schedule"],
-            s_values=tuple(doc.get("s_values", [2])),
-            trials=int(doc.get("trials", 100)),
-            seed=int(doc.get("seed", 0)),
-            tail_start=int(doc.get("tail_start", 1)),
-            grid_cap=int(doc.get("grid_cap", DEFAULT_GRID_CAP)),
-            psi_fractions=tuple(doc.get("psi_fractions", [0.25, 1.0])),
-            scan_points=tuple(doc.get("scan_points", DEFAULT_SCAN_POINTS)),
-            scan_checkpoints=int(doc.get("scan_checkpoints", 4)),
-            thresholds=dict(doc.get("thresholds", {"tail_independence": 0.95, "psi_decay": 0.90})),
-            compute_psi=bool(doc.get("compute_psi", True)),
-            compute_scan=bool(doc.get("compute_scan", True)),
-            out_dir=doc.get("out_dir", ""),
-            label=doc.get("label", ""),
-        )
+        values = {}
+        for key, value in doc.items():
+            shape, accepted, coerce = _SHAPES.get(known[key].type, _ARRAY)
+            _require(isinstance(value, accepted), key, shape, value)
+            values[key] = coerce(value)
+        return cls(**values)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -163,50 +184,59 @@ class ExperimentConfig:
         return hashlib.sha256(canonical_json(self.to_json_dict()).encode()).hexdigest()
 
 
-def build_source(spec: dict) -> IntegerSet:
+# -- builders: one table per config object, keyed by its "kind" ----------------
+
+
+def _dyadic(spec: dict, source: IntegerSet) -> Partition:
+    k_max = spec.get("k_max", "auto")
+    if k_max == "auto":
+        k_max = max(1, (max(source.max_abs, 2) - 1).bit_length())
+    return dyadic_partition(int(k_max))
+
+
+def _linear_blocks(spec: dict, decomposition: BlockDecomposition) -> DensitySchedule:
+    ells = [min(k, len(blk)) for k, blk in enumerate(decomposition.blocks)]
+    return blockwise_schedule(decomposition, ells)
+
+
+_SOURCES = {
+    "primes": lambda spec: generate_primes(int(spec["limit"])),
+    "polynomial": lambda spec: generate_polynomial([int(c) for c in spec["coefficients"]], int(spec["k_max"])),
+    "geometric": lambda spec: generate_geometric(int(spec["base"]), int(spec["k_max"])),
+    "integers": lambda spec: generate_integers(int(spec["n_max"])),
+}
+_PARTITIONS = {
+    "dyadic": _dyadic,
+    # four blocks by default: enough to show the factorial cuts at work
+    "gross": lambda spec, source: gross_partition(int(spec.get("k_max", 4)), spec.get("exponents")),
+    "custom": lambda spec, source: Partition(tuple(int(p) for p in spec["cut_points"]), "custom"),
+}
+_SCHEDULES = {
+    "linear_blocks": _linear_blocks,
+    "blockwise": lambda spec, d: blockwise_schedule(d, [int(x) for x in spec["ells"]]),
+    "factorial_cap": lambda spec, d: factorial_block_schedule(d),
+    "power_law": lambda spec, d: decreasing_density_schedule(d.source, "power_law", float(spec.get("alpha", 1.0))),
+    "uniform": lambda spec, d: uniform_schedule(d.source, spec["delta"]),
+}
+
+
+def _builder(table: dict, what: str, spec: dict):
     kind = spec.get("kind")
-    if kind == "primes":
-        return generate_primes(int(spec["limit"]))
-    if kind == "polynomial":
-        return generate_polynomial([int(c) for c in spec["coefficients"]], int(spec["k_max"]))
-    if kind == "geometric":
-        return generate_geometric(int(spec["base"]), int(spec["k_max"]))
-    if kind == "integers":
-        return generate_integers(int(spec["n_max"]))
-    raise ValueError(f"unknown source kind {kind!r}")
+    if kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}; known kinds: {', '.join(table)}")
+    return table[kind]
+
+
+def build_source(spec: dict) -> IntegerSet:
+    return _builder(_SOURCES, "source", spec)(spec)
 
 
 def build_partition(spec: dict, source: IntegerSet) -> Partition:
-    kind = spec.get("kind")
-    if kind == "dyadic":
-        k_max = spec.get("k_max", "auto")
-        if k_max == "auto":
-            k_max = max(1, (max(source.max_abs, 2) - 1).bit_length())
-        return dyadic_partition(int(k_max))
-    if kind == "gross":
-        # four blocks by default: enough to show the factorial cuts at work
-        return gross_partition(int(spec.get("k_max", 4)), spec.get("exponents"))
-    if kind == "custom":
-        return Partition(tuple(int(p) for p in spec["cut_points"]), "custom")
-    raise ValueError(f"unknown partition kind {kind!r}")
+    return _builder(_PARTITIONS, "partition", spec)(spec, source)
 
 
 def build_schedule(spec: dict, decomposition: BlockDecomposition) -> DensitySchedule:
-    kind = spec.get("kind")
-    if kind == "linear_blocks":
-        ells = [min(k, len(blk)) for k, blk in enumerate(decomposition.blocks)]
-        return blockwise_schedule(decomposition, ells)
-    if kind == "blockwise":
-        return blockwise_schedule(decomposition, [int(x) for x in spec["ells"]])
-    if kind == "factorial_cap":
-        return factorial_block_schedule(decomposition)
-    if kind == "power_law":
-        return decreasing_density_schedule(
-            decomposition.source, form="power_law", alpha=float(spec.get("alpha", 1.0))
-        )
-    if kind == "uniform":
-        return uniform_schedule(decomposition.source, spec["delta"])
-    raise ValueError(f"unknown schedule kind {kind!r}")
+    return _builder(_SCHEDULES, "schedule", spec)(spec, decomposition)
 
 
 @dataclass
@@ -222,17 +252,9 @@ class ExperimentRecord:
     schema: int = 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "pipeline": self.pipeline,
-            "tool_version": self.tool_version,
-            "config": self.config.to_json_dict(),
-            "config_hash": self.config_hash,
-            "stages": self.stages,
-            "summary": self.summary,
-            "created_utc": self.created_utc,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["config"] = self.config.to_json_dict()
+        return doc
 
     def canonical_payload(self) -> dict:
         """Record content with volatile fields removed; two runs of the same
@@ -290,28 +312,17 @@ def _schedule_stage(env: _Env) -> dict:
     # block k every |n| is at most p_k while sigma has already absorbed the
     # full lower blocks, so this ratio is the finite surrogate for sigma
     # outgrowing log|n|
-    if env.schedule.blocks is not None:
-        cuts = env.partition.cut_points
-        ratios = []
-        running = 0
-        for blk in env.schedule.blocks:
-            if blk.k >= 1:
-                log_cut = ln_int(cuts[blk.k]) if cuts[blk.k] > 1 else None
-                ratios.append(
-                    {
-                        "k": blk.k,
-                        "ell_sum_below": running,
-                        "log_upper_cut": log_cut,
-                        "ratio": (running / log_cut) if log_cut else None,
-                    }
-                )
-            running += blk.ell
-        doc["sigma_vs_log_cut"] = ratios
+    cuts = env.partition.cut_points
+    ratios = []
+    running = 0
+    for blk in env.schedule.blocks:
+        if blk.k >= 1:
+            log_cut = ln_int(cuts[blk.k]) if cuts[blk.k] > 1 else None
+            ratio = (running / log_cut) if log_cut else None
+            ratios.append({"k": blk.k, "ell_sum_below": running, "log_upper_cut": log_cut, "ratio": ratio})
+        running += blk.ell
+    doc["sigma_vs_log_cut"] = ratios
     return doc
-
-
-def _tail_blocks(env: _Env, tail_start: int) -> list[int]:
-    return [k for k in range(tail_start, env.partition.block_count)]
 
 
 # -- trial kernel -------------------------------------------------------------
@@ -357,61 +368,93 @@ def _pool_rows(cfg_doc: dict, indices: Sequence[int], psi_ks: Sequence[int]) -> 
     return _trial_rows(config, _build_env(config), indices, psi_ks)
 
 
+# -- pipeline skeleton: prologue, per-block tally, epilogue ---------------------
+
+
+def _prologue(config: ExperimentConfig, threads: int, pipeline: str) -> _Env:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    env = _build_env(config)
+    if env.schedule.blocks is None:
+        raise ValueError(f"the {pipeline} pipeline needs a blockwise schedule")
+    if config.tail_start >= env.partition.block_count:
+        raise ValueError(f"tail_start {config.tail_start} must be below the {env.partition.block_count} blocks")
+    return env
+
+
+def _block_table(config: ExperimentConfig, env: _Env, rows: list[dict], cell) -> list[dict]:
+    """One entry per block: its size, ell and mean selected count over the
+    trials, and per s the cell that `cell(dependent_count, bound)` makes of
+    the block's dependent count and the probability bound."""
+    table = []
+    for k, blk in enumerate(env.schedule.blocks):
+        per_s = {}
+        for s in config.s_values:
+            dep = sum(row["dependent"][str(s)][k] for row in rows)
+            bound = dependence_probability_bound(s, blk.ell, blk.size) if blk.size else 0.0
+            per_s[str(s)] = cell(dep, bound)
+        table.append(
+            {
+                "k": k,
+                "size": blk.size,
+                "ell": blk.ell,
+                "mean_selected": sum(row["block_counts"][k] for row in rows) / config.trials,
+                "independence": per_s,
+            }
+        )
+    return table
+
+
+def _epilogue(pipeline: str, config: ExperimentConfig, start: float, stages: dict, summary: dict) -> ExperimentRecord:
+    return ExperimentRecord(
+        pipeline=pipeline,
+        config=config,
+        config_hash=config.hash(),
+        stages=stages,
+        summary=summary,
+        created_utc=_utc_now(),
+        elapsed_seconds=round(time.monotonic() - start, 3),
+    )
+
+
 # -- block independence pipeline ----------------------------------------------
 
 
 def run_block_independence(config: ExperimentConfig, threads: int = 1) -> ExperimentRecord:
     """Monte Carlo per-block s-independence frequencies against the
     probability bound, plus the law-of-large-numbers block-count check."""
-    _check_threads(threads)
     start = time.monotonic()
-    env = _build_env(config)
-    if env.schedule.blocks is None:
-        raise ValueError("block independence pipeline needs a blockwise schedule")
+    env = _prologue(config, threads, "block_independence")
     rows = _fan_out(config, env, threads, psi_ks=())
-
-    n_blocks = env.partition.block_count
     trials = config.trials
-    blocks_table = []
-    for k in range(n_blocks):
-        blk = env.schedule.blocks[k]
-        entry: dict = {"k": k, "size": blk.size, "ell": blk.ell}
-        counts = [row["block_counts"][k] for row in rows]
-        mean = sum(counts) / trials
-        var = blk.size * float(blk.delta) * (1.0 - float(blk.delta))
-        se = math.sqrt(var / trials)
-        entry["mean_selected"] = mean
+
+    def cell(dep: int, bound: float) -> dict:
+        freq = dep / trials
+        lo, hi = wilson_interval(dep, trials, Z_99)
+        return {
+            "dependent_count": dep,
+            "frequency": freq,
+            "wilson_99": [lo, hi],
+            "bound": bound,
+            "below_bound_with_slack": freq <= bound + 3.0 * (hi - lo) / 2.0,
+        }
+
+    blocks_table = _block_table(config, env, rows, cell)
+    for entry, blk in zip(blocks_table, env.schedule.blocks):
+        se = math.sqrt(blk.size * float(blk.delta) * (1.0 - float(blk.delta)) / trials)
         entry["expected_selected"] = blk.ell
         entry["standard_error"] = se
-        entry["within_3se"] = abs(mean - blk.ell) <= 3.0 * se + 1e-12
-        per_s = {}
-        for s in config.s_values:
-            dep = sum(row["dependent"][str(s)][k] for row in rows)
-            freq = dep / trials
-            lo, hi = wilson_interval(dep, trials, Z_99)
-            bound = dependence_probability_bound(s, blk.ell, blk.size) if blk.size else 0.0
-            per_s[str(s)] = {
-                "dependent_count": dep,
-                "frequency": freq,
-                "wilson_99": [lo, hi],
-                "bound": bound,
-                "below_bound_with_slack": freq <= bound + 3.0 * (hi - lo) / 2.0,
-            }
-        entry["independence"] = per_s
-        blocks_table.append(entry)
+        entry["within_3se"] = abs(entry["mean_selected"] - blk.ell) <= 3.0 * se + 1e-12
 
-    tail = _tail_blocks(env, config.tail_start)
+    tail = blocks_table[config.tail_start :]
     summary = {
         "tail_start": config.tail_start,
-        "tail_blocks": tail,
+        "tail_blocks": [b["k"] for b in tail],
         "per_s": {
             str(s): {
-                "max_tail_frequency": max(
-                    (blocks_table[k]["independence"][str(s)]["frequency"] for k in tail),
-                    default=0.0,
-                ),
+                "max_tail_frequency": max(b["independence"][str(s)]["frequency"] for b in tail),
                 "all_tail_below_bound_with_slack": all(
-                    blocks_table[k]["independence"][str(s)]["below_bound_with_slack"] for k in tail
+                    b["independence"][str(s)]["below_bound_with_slack"] for b in tail
                 ),
             }
             for s in config.s_values
@@ -423,15 +466,7 @@ def run_block_independence(config: ExperimentConfig, threads: int = 1) -> Experi
         "schedule": _schedule_stage(env),
         "blocks": blocks_table,
     }
-    return ExperimentRecord(
-        pipeline="block_independence",
-        config=config,
-        config_hash=config.hash(),
-        stages=stages,
-        summary=summary,
-        created_utc=_utc_now(),
-        elapsed_seconds=round(time.monotonic() - start, 3),
-    )
+    return _epilogue("block_independence", config, start, stages, summary)
 
 
 # -- end-to-end certification pipeline ----------------------------------------
@@ -446,122 +481,82 @@ def run_certification(config: ExperimentConfig, threads: int = 1) -> ExperimentR
     """Growth gate, schedule diagnostics, per-block independence frequencies,
     selection discrepancy decay, and an equidistribution scan of one selected
     subset, in a single record."""
-    _check_threads(threads)
     start = time.monotonic()
-    env = _build_env(config)
+    env = _prologue(config, threads, "certification")
     growth = classify_growth(env.source)
     if not growth.is_polynomial:
         raise GrowthGateError(growth)
-    if env.schedule.blocks is None:
-        raise ValueError("certification pipeline needs a blockwise schedule")
 
     ks = _psi_ks(config, len(env.source))
     rows = _fan_out(config, env, threads, psi_ks=ks if config.compute_psi else ())
     trials = config.trials
 
-    blocks_table = []
-    for k in range(env.partition.block_count):
-        blk = env.schedule.blocks[k]
-        per_s = {}
-        for s in config.s_values:
-            dep = sum(row["dependent"][str(s)][k] for row in rows)
-            freq_independent = 1.0 - dep / trials
-            lo, hi = wilson_interval(trials - dep, trials, Z_99)
-            per_s[str(s)] = {
-                "independent_frequency": freq_independent,
-                "wilson_99": [lo, hi],
-                "bound_on_dependence": dependence_probability_bound(s, blk.ell, blk.size)
-                if blk.size
-                else 0.0,
-            }
-        blocks_table.append(
-            {
-                "k": k,
-                "size": blk.size,
-                "ell": blk.ell,
-                "mean_selected": sum(row["block_counts"][k] for row in rows) / trials,
-                "independence": per_s,
-            }
-        )
+    def cell(dep: int, bound: float) -> dict:
+        lo, hi = wilson_interval(trials - dep, trials, Z_99)
+        return {
+            "independent_frequency": 1.0 - dep / trials,
+            "wilson_99": [lo, hi],
+            "bound_on_dependence": bound,
+        }
+
+    blocks_table = _block_table(config, env, rows, cell)
 
     psi_stage: dict = {"checkpoints": ks, "per_trial": []}
     decay_fraction = None
     if config.compute_psi and len(ks) >= 2:
-        k_lo, k_hi = ks[0], ks[-1]
-        decays = 0
-        usable = 0
+        decays = usable = 0
         for row in rows:
-            lo_v = row["psi"][str(k_lo)]
-            hi_v = row["psi"][str(k_hi)]
             psi_stage["per_trial"].append({"trial": row["trial"], "values": row["psi"]})
+            lo_v, hi_v = row["psi"][str(ks[0])], row["psi"][str(ks[-1])]
             if lo_v is not None and hi_v is not None:
                 usable += 1
-                if hi_v < lo_v:
-                    decays += 1
+                decays += hi_v < lo_v
         decay_fraction = decays / usable if usable else None
         psi_stage["decay_fraction"] = decay_fraction
         psi_stage["decay_usable_trials"] = usable
         if usable:
-            w_lo, w_hi = wilson_interval(decays, usable, Z_99)
-            psi_stage["decay_wilson_99"] = [w_lo, w_hi]
+            psi_stage["decay_wilson_99"] = list(wilson_interval(decays, usable, Z_99))
 
     scan_stage = None
-    if config.compute_scan:
-        picked = rows[0]["selected"]
-        if len(picked) >= 1:
-            m = len(picked)
-            cps = sorted({max(1, math.ceil(m * (i + 1) / config.scan_checkpoints)) for i in range(config.scan_checkpoints)})
-            points = [CirclePoint.parse(p) for p in config.scan_points]
-            scan_stage = equidistribution_scan(picked, cps, points).to_json_dict()
+    picked = rows[0]["selected"]
+    if config.compute_scan and len(picked) >= 1:
+        n_cps = config.scan_checkpoints
+        cps = sorted({max(1, math.ceil(len(picked) * (i + 1) / n_cps)) for i in range(n_cps)})
+        points = [CirclePoint.parse(p) for p in config.scan_points]
+        scan_stage = equidistribution_scan(picked, cps, points).to_json_dict()
 
-    tail = _tail_blocks(env, config.tail_start)
-    thr = config.thresholds
+    tail = blocks_table[config.tail_start :]
+    thr = {**DEFAULT_THRESHOLDS, **config.thresholds}
     per_s_summary = {}
     for s in config.s_values:
-        freqs = [blocks_table[k]["independence"][str(s)]["independent_frequency"] for k in tail]
+        freqs = [b["independence"][str(s)]["independent_frequency"] for b in tail]
         per_s_summary[str(s)] = {
-            "min_tail_independent_frequency": min(freqs) if freqs else None,
-            "tail_meets_threshold": all(f >= thr.get("tail_independence", 0.95) for f in freqs),
+            "min_tail_independent_frequency": min(freqs),
+            "tail_meets_threshold": all(f >= thr["tail_independence"] for f in freqs),
         }
     summary = {
         "growth": growth.to_json_dict(),
         "tail_start": config.tail_start,
-        "tail_blocks": tail,
+        "tail_blocks": [b["k"] for b in tail],
         "per_s": per_s_summary,
         "psi_decay_fraction": decay_fraction,
-        "psi_decay_meets_threshold": (
-            decay_fraction is not None and decay_fraction >= thr.get("psi_decay", 0.90)
-        )
-        if config.compute_psi
-        else None,
-        "thresholds": thr,
+        "psi_decay_meets_threshold": (decay_fraction is not None and decay_fraction >= thr["psi_decay"])
+        if config.compute_psi else None,
+        "thresholds": config.thresholds,
     }
     stages = {
         "growth": growth.to_json_dict(),
-        "block_growth": verify_block_growth(env.decomposition, min(config.tail_start, env.partition.block_count - 1)).to_json_dict(),
+        "block_growth": verify_block_growth(env.decomposition, config.tail_start).to_json_dict(),
         "decomposition": env.decomposition.to_json_dict(),
         "schedule": _schedule_stage(env),
         "blocks": blocks_table,
         "psi": psi_stage if config.compute_psi else None,
         "scan": scan_stage,
     }
-    return ExperimentRecord(
-        pipeline="certification",
-        config=config,
-        config_hash=config.hash(),
-        stages=stages,
-        summary=summary,
-        created_utc=_utc_now(),
-        elapsed_seconds=round(time.monotonic() - start, 3),
-    )
+    return _epilogue("certification", config, start, stages, summary)
 
 
 # -- worker fan-out -----------------------------------------------------------
-
-
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 def _fan_out(config: ExperimentConfig, env: _Env, threads: int, psi_ks: Sequence[int]) -> list[dict]:

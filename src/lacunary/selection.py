@@ -300,30 +300,16 @@ def select(E: IntegerSet, schedule: DensitySchedule, seed: int) -> SelectionTria
     """
     if not schedule.aligned_with(E):
         raise ValueError("schedule misaligned with set")
-    n = len(E)
     thresholds = _thresholds(schedule.densities)
-    if n >= 1024:
-        words = _mix64_block(seed, n)
-        # exact compare v < t as v <= t-1 so the t = 2^64 (density 1) case
-        # still fits in uint64; t = 0 (density 0) is masked out separately
-        thr_u = np.array([(t - 1) & _MASK64 for t in thresholds], dtype=np.uint64)
-        nonzero = np.array([t > 0 for t in thresholds])
-        mask = nonzero & (words <= thr_u)
-        picked_idx = np.nonzero(mask)[0]
-        picked = tuple(E.elements[int(i)] for i in picked_idx)
-    else:
-        picked = tuple(
-            E.elements[i] for i in range(n) if thresholds[i] > 0 and mix64(seed, i) < thresholds[i]
-        )
-        picked_idx = None
-    selected = IntegerSet(picked, f"{E.label}|seed{seed}")
+    words = _mix64_block(seed, len(E))
+    # exact compare v < t as v <= t-1 so the t = 2^64 (density 1) case still
+    # fits in uint64; t = 0 (density 0) is masked out separately
+    thr_u = np.array([(t - 1) & _MASK64 for t in thresholds], dtype=np.uint64)
+    nonzero = np.array([t > 0 for t in thresholds], dtype=bool)
+    picked_idx = np.nonzero(nonzero & (words <= thr_u))[0]
+    selected = IntegerSet(tuple(E.elements[int(i)] for i in picked_idx), f"{E.label}|seed{seed}")
     block_counts = None
     if schedule.blocks is not None:
-        if picked_idx is None:
-            picked_idx = np.array(
-                [i for i in range(n) if thresholds[i] > 0 and mix64(seed, i) < thresholds[i]],
-                dtype=np.int64,
-            )
         block_counts = tuple(
             int(np.count_nonzero((picked_idx >= b.start) & (picked_idx < b.start + b.size)))
             for b in schedule.blocks
@@ -332,7 +318,7 @@ def select(E: IntegerSet, schedule: DensitySchedule, seed: int) -> SelectionTria
         seed=seed,
         selected=selected,
         block_counts=block_counts,
-        source_size=n,
+        source_size=len(E),
         source_label=E.label,
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lacunary import ExperimentConfig, run_block_independence, run_certification, save_record
+from lacunary._util import canonical_json
 from lacunary.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_PRECONDITION, main
 from lacunary.experiments import GrowthGateError, build_partition, build_schedule, build_source
 
@@ -45,6 +47,29 @@ def test_config_json_round_trip():
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
     assert back.hash() == cfg.hash()
+    # keys left out of a document take the dataclass defaults
+    specs = {key: getattr(cfg, key) for key in ("source", "partition", "schedule")}
+    assert ExperimentConfig.from_json_dict(specs) == ExperimentConfig(**specs)
+
+
+# one bad value per key: unknown, wrong shape, unknown kind, out of range
+BAD_VALUES = {
+    "tirals": 5,
+    "s_values": 2,
+    "trials": "5",
+    "compute_psi": "no",
+    "partition": {"kind": "triadic"},
+    "thresholds": {"tail": 0.5},
+    "grid_cap": 0,
+    "tail_start": -1,
+}
+
+
+@pytest.mark.parametrize("key", list(BAD_VALUES))
+def test_config_errors_name_the_key(key):
+    doc = {**small_block_config().to_json_dict(), key: BAD_VALUES[key]}
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_json_dict(doc)
 
 
 def test_build_source_kinds():
@@ -412,24 +437,62 @@ def test_cli_precondition_exit_code(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
 
 
+def _set(**changes):
+    return lambda doc: {**doc, **changes}
+
+
 @pytest.mark.parametrize(
-    "edit, argv",
+    "edit, argv, kind, env_built",
     [
-        (lambda doc: doc.update(trials=0), []),
-        (lambda doc: doc.pop("source"), []),
-        (lambda doc: None, ["--threads", "-3"]),
+        pytest.param(_set(trials=0), [], "certify", False, id="zero_trials"),
+        pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "source"}, [], "certify", False, id="no_source"),
+        pytest.param(lambda doc: doc, ["--threads", "-3"], "certify", False, id="negative_threads"),
+        pytest.param(lambda doc: [], [], "certify", False, id="not_an_object"),
+        pytest.param(_set(source="primes"), [], "certify", False, id="source_not_an_object"),
+        pytest.param(_set(source={"kind": "squares"}), [], "certify", False, id="unknown_source_kind"),
+        pytest.param(_set(s_values=2), [], "certify", False, id="s_values_not_a_list"),
+        pytest.param(_set(thresholds=5), [], "certify", False, id="thresholds_not_an_object"),
+        pytest.param(_set(tirals=5), [], "certify", False, id="unknown_key"),
+        pytest.param(_set(s_values=[1]), [], "certify", False, id="s_below_2"),
+        pytest.param(_set(s_values=[5]), [], "certify", False, id="s_above_max"),
+        pytest.param(_set(thresholds={"psi_decay": 7}), [], "certify", False, id="threshold_above_1"),
+        pytest.param(_set(psi_fractions=[0]), [], "certify", False, id="zero_psi_fraction"),
+        pytest.param(_set(scan_checkpoints=0), [], "certify", False, id="zero_scan_checkpoints"),
+        pytest.param(_set(tail_start=99), [], "certify", True, id="tail_start_past_blocks_certify"),
+        pytest.param(_set(tail_start=99), [], "block-independence", True, id="tail_start_past_blocks_block"),
     ],
-    ids=["zero_trials", "no_source", "negative_threads"],
 )
-def test_cli_pipeline_bad_input_exits_3(tmp_path, capsys, edit, argv):
-    doc = small_cert_config(trials=2).to_json_dict()
-    edit(doc)
+def test_cli_pipeline_bad_input_exits_3(tmp_path, capsys, monkeypatch, edit, argv, kind, env_built):
+    from lacunary import experiments
+
+    builds = []
+    real_build = experiments.build_source
+    monkeypatch.setattr(experiments, "build_source", lambda spec: builds.append(spec) or real_build(spec))
+    doc = edit(small_cert_config(trials=2).to_json_dict())
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(doc))
-    code = main(["--config", str(cfgfile), "--out", str(tmp_path), *argv, "pipeline", "certify"])
+    code = main(["--config", str(cfgfile), "--out", str(tmp_path), *argv, "pipeline", kind])
     assert code == EXIT_PRECONDITION
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "records").exists()
+    # a config that is wrong on its own is refused before any env is built
+    assert len(builds) == int(env_built)
+
+
+# Golden values of the record contract. The rerun tests compare two runs of
+# one build; these catch a change of config serialisation or record content
+# across builds.
+SMALL_BLOCK_CONFIG_HASH = "04c0cd4d8f2ce7c01b5114452c234afc8d8c274b30eae7c09e7e3ac70e050830"
+SMALL_CERT_CONFIG_HASH = "e876e5e09439158a9d0dc9a6c588d725dca3b101835951a80d03e26149fc53e5"
+SMALL_BLOCK_PAYLOAD_SHA256 = "d172130ef54243ffa9304e0ece9bd94772e5cdaadcf15c2630672f5e0775bd82"
+
+
+def test_config_hashes_and_record_bytes_pinned():
+    assert small_block_config().hash() == SMALL_BLOCK_CONFIG_HASH
+    assert small_cert_config().hash() == SMALL_CERT_CONFIG_HASH
+    # the block record holds no FFT output, so its bytes are platform-independent
+    payload = canonical_json(run_block_independence(small_block_config()).canonical_payload())
+    assert hashlib.sha256(payload.encode()).hexdigest() == SMALL_BLOCK_PAYLOAD_SHA256
 
 
 def test_cli_usage_error_exits_2():

@@ -67,8 +67,10 @@ def test_select_reproducible_and_seed_sensitive():
     assert set(a.selected.elements) <= set(E.elements)
 
 
-def test_select_scalar_and_vector_paths_identical():
-    E = generate_integers(3000)  # vector path
+@pytest.mark.parametrize("n", [0, 1, 1023, 3000])
+def test_select_scalar_and_vector_paths_identical(n):
+    # select's vectorised mixer against the scalar rule, down to the empty set
+    E = IntegerSet(tuple(range(1, n + 1)), f"1..{n}")
     sched = uniform_schedule(E, Fraction(2, 7))
     picked = select(E, sched, 5).selected.elements
     thresholds = _thresholds(sched.densities)
