@@ -30,13 +30,14 @@ def ln_int(n: int) -> float:
     return log2_int(n) * math.log(2.0)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("wilson_interval requires trials >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
     p = successes / trials
+    z = Z_99
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))

@@ -50,6 +50,8 @@ class CirclePoint:
 
     @classmethod
     def angle(cls, theta: float) -> "CirclePoint":
+        if not math.isfinite(theta):
+            raise ValueError(f"circle point angle must be finite, got {theta!r}")
         return cls(kind="angle", theta=float(theta) % 1.0)
 
     @classmethod
@@ -294,7 +296,7 @@ def grid_values(spectrum: Mapping[int, complex], grid_size: int) -> np.ndarray:
 class GridSupReport:
     coarse_sup: float
     bound: float  # 5x the coarse sup
-    certified: bool  # True when the grid really had >= 4N points
+    certified: bool  # True when the grid had its full 4N points
     grid_size: int
     cap_active: bool
     max_frequency: int
@@ -310,11 +312,7 @@ class GridSupReport:
         }
 
 
-def sup_norm_via_grid(
-    spectrum: Mapping[int, complex],
-    grid_cap: int = DEFAULT_GRID_CAP,
-    grid_size: int | None = None,
-) -> GridSupReport:
+def sup_norm_via_grid(spectrum: Mapping[int, complex], grid_cap: int = DEFAULT_GRID_CAP) -> GridSupReport:
     """Coarse sup of a sparse-spectrum polynomial over the 4N-th roots of
     unity and the resulting 5x sup-norm certificate.
 
@@ -324,33 +322,23 @@ def sup_norm_via_grid(
     support = {n: c for n, c in spectrum.items() if c != 0}
     coeffs = np.array(list(support.values()), dtype=complex)
     N = max((abs(n) for n in support), default=0)
-    return _grid_sup(list(support), coeffs, N, grid_cap, grid_size)
+    return _grid_sup(list(support), coeffs, N, grid_cap)
 
 
-def _grid_sup(
-    freqs: Sequence[int] | np.ndarray,
-    coeffs: np.ndarray,
-    N: int,
-    grid_cap: int,
-    grid_size: int | None = None,
-) -> GridSupReport:
+def _grid_sup(freqs: Sequence[int] | np.ndarray, coeffs: np.ndarray, N: int, grid_cap: int) -> GridSupReport:
     """sup_norm_via_grid on a support already cut to nonzero coefficients,
     whose largest |frequency| is N."""
     if len(coeffs) == 0:
         return GridSupReport(0.0, 0.0, True, 1, False, 0)
     natural = max(4 * N, 1)
-    if grid_size is None:
-        M = min(natural, grid_cap)
-        cap_active = natural > grid_cap
-    else:
-        M = int(grid_size)
-        cap_active = False
+    M = min(natural, grid_cap)
+    cap_active = natural > grid_cap
     vals = _grid_values(freqs, coeffs, M)
     S = float(np.max(np.abs(vals)))
     return GridSupReport(
         coarse_sup=S,
         bound=5.0 * S,
-        certified=M >= natural,
+        certified=not cap_active,
         grid_size=M,
         cap_active=cap_active,
         max_frequency=N,

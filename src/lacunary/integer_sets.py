@@ -18,6 +18,11 @@ from typing import Iterable, Sequence
 
 from ._util import ln_int
 
+# classify_growth's verdict margin eta, sample count and fewest usable samples
+GROWTH_MARGIN = 0.05
+GROWTH_SAMPLES = 48
+MIN_GROWTH_SAMPLES = 16
+
 
 def _abs_order_key(n: int) -> tuple[int, int]:
     # ties |n| = |-n| resolve negative-first; any fixed rule works, this one
@@ -224,18 +229,13 @@ def _geometric_grid(t_min: int, t_max: int, count: int) -> list[int]:
     return out
 
 
-def classify_growth(
-    E: IntegerSet,
-    fit_range: tuple[int, int] | None = None,
-    margin: float = 0.05,
-    num_samples: int = 48,
-    min_samples: int = 16,
-) -> GrowthReport:
-    """Fit the distribution function over `fit_range` and classify growth.
+def classify_growth(E: IntegerSet, fit_range: tuple[int, int] | None = None) -> GrowthReport:
+    """Fit the distribution function over `fit_range` and classify growth
+    with margin GROWTH_MARGIN.
 
     Defaults to the tail range [sqrt(max|n|), max|n|/2]; the upper end is
     halved so E[2t] stays inside the data. Raises on fewer than
-    `min_samples` usable thresholds.
+    MIN_GROWTH_SAMPLES usable thresholds.
     """
     if len(E) == 0:
         raise ValueError("insufficient data: empty set")
@@ -245,25 +245,25 @@ def classify_growth(
     t_min, t_max = int(fit_range[0]), int(fit_range[1])
     if t_min < 2:
         t_min = 2
-    grid = _geometric_grid(t_min, t_max, num_samples)
+    grid = _geometric_grid(t_min, t_max, GROWTH_SAMPLES)
     samples = [(t, E.distribution(t), E.distribution(2 * t)) for t in grid]
     samples = [s for s in samples if s[1] >= 1]
-    if len(samples) < min_samples:
+    if len(samples) < MIN_GROWTH_SAMPLES:
         raise ValueError(
-            f"insufficient data: {len(samples)} usable samples in [{t_min}, {t_max}], need {min_samples}"
+            f"insufficient data: {len(samples)} usable samples in [{t_min}, {t_max}], need {MIN_GROWTH_SAMPLES}"
         )
     epsilon_raw = min(ln_int(et) / ln_int(t) if et > 1 else 0.0 for t, et, _ in samples)
     epsilon_hat = min(1.0, epsilon_raw)
     c_hat = min(e2t / et for _, et, e2t in samples)
-    is_regular = c_hat > 1.0 + margin
-    is_polynomial = epsilon_hat > margin or is_regular
+    is_regular = c_hat > 1.0 + GROWTH_MARGIN
+    is_polynomial = epsilon_hat > GROWTH_MARGIN or is_regular
     return GrowthReport(
         epsilon_hat=epsilon_hat,
         c_hat=c_hat,
         is_polynomial=is_polynomial,
         is_regular=is_regular,
         fit_range=(t_min, t_max),
-        margin=margin,
+        margin=GROWTH_MARGIN,
         sample_count=len(samples),
         samples=tuple(samples),
     )

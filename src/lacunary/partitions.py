@@ -83,17 +83,12 @@ def dyadic_partition(k_max: int) -> Partition:
     return Partition(tuple(1 << k for k in range(k_max + 1)), "dyadic")
 
 
-def gross_partition(
-    k_max: int,
-    exponents: Sequence[int] | None = None,
-    ratio_threshold: float = GROSS_RATIO_THRESHOLD,
-    tail_start: int = 0,
-) -> Partition:
+def gross_partition(k_max: int, exponents: Sequence[int] | None = None) -> Partition:
     """Cut points 2^{e_k}; e_k = k! for k = 1..k_max unless given explicitly.
 
     A custom exponent schedule must be strictly increasing with consecutive
-    ratios nondecreasing and above `ratio_threshold` from `tail_start` on,
-    so the cuts qualify as gross rather than merely lacunary.
+    ratios nondecreasing and above GROSS_RATIO_THRESHOLD, so the cuts
+    qualify as gross rather than merely lacunary.
     """
     if exponents is None:
         if k_max < 1:
@@ -106,12 +101,9 @@ def gross_partition(
         if any(e < 1 for e in exps) or any(a >= b for a, b in zip(exps, exps[1:])):
             raise ValueError("exponents must be strictly increasing positive integers")
         ratios = [b / a for a, b in zip(exps, exps[1:])]
-        tail = ratios[tail_start:] if tail_start < len(ratios) else ratios
-        if any(r <= ratio_threshold for r in tail):
-            raise ValueError(
-                f"gross ratio condition violated: exponent ratio <= {ratio_threshold} in declared tail"
-            )
-        if any(b < a - 1e-12 for a, b in zip(tail, tail[1:])):
+        if any(r <= GROSS_RATIO_THRESHOLD for r in ratios):
+            raise ValueError(f"gross ratio condition violated: exponent ratio <= {GROSS_RATIO_THRESHOLD}")
+        if any(b < a - 1e-12 for a, b in zip(ratios, ratios[1:])):
             raise ValueError("gross ratio condition violated: exponent ratios must be nondecreasing")
     return Partition(tuple(1 << e for e in exps), "gross")
 
@@ -124,10 +116,6 @@ class BlockDecomposition:
     source: IntegerSet
     blocks: tuple[IntegerSet, ...]
     remainder: IntegerSet
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
 
     def to_json_dict(self, include_elements: bool = False) -> dict:
         doc = {

@@ -91,9 +91,6 @@ class RelationSet:
             "relations": [list(r.coefficients) for r in self.all_relations()],
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
 
 def _count_bound(s: int) -> int:
     # compositions of weight <= 2s into m positive parts, times sign patterns
@@ -116,15 +113,16 @@ def _extend(prefix: list[int], abs_used: int, total: int, m: int, budget: int, o
         prefix.pop()
 
 
-def enumerate_relations(s: int, s_max: int = DEFAULT_S_MAX) -> RelationSet:
-    """All ordered relations of lengths 3..2s with weight <= 2s.
+def enumerate_relations(s: int) -> RelationSet:
+    """All ordered relations of lengths 3..2s with weight <= 2s, for s up to
+    DEFAULT_S_MAX.
 
     s=1 yields the empty set (only identity relations fit in weight 2).
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if s > s_max:
-        raise RelationExplosionError(s, s_max, _count_bound(s))
+    if s > DEFAULT_S_MAX:
+        raise RelationExplosionError(s, DEFAULT_S_MAX, _count_bound(s))
     by_m: dict[int, tuple[Relation, ...]] = {}
     for m in range(3, 2 * s + 1):
         found: list[tuple[int, ...]] = []
@@ -134,9 +132,9 @@ def enumerate_relations(s: int, s_max: int = DEFAULT_S_MAX) -> RelationSet:
 
 
 @lru_cache(maxsize=16)
-def relation_count(s: int, s_max: int = DEFAULT_S_MAX) -> int:
+def relation_count(s: int) -> int:
     """C(s): the exact ordered relation count used in the probability bound."""
-    return enumerate_relations(s, s_max).count
+    return enumerate_relations(s).count
 
 
 def dependence_probability_bound(s: int, ell: int, set_size: int) -> float:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import Z_99, ln_int, wilson_interval
+from ._util import ln_int, wilson_interval
 from .integer_sets import IntegerSet
 from .partitions import BlockDecomposition
 from .relations import dependence_probability_bound, is_s_independent
@@ -134,9 +134,9 @@ class DensitySchedule:
     def aligned_with(self, E: IntegerSet) -> bool:
         return self.elements == E.elements
 
-    def to_json_dict(self, include_entries: bool | None = None) -> dict:
-        if include_entries is None:
-            include_entries = self.blocks is None
+    def to_json_dict(self) -> dict:
+        """Blocks and per-block sigma for a blockwise schedule, else every
+        (element, density) entry and the running sigma."""
         sig = self.sigma_float()
         doc: dict = {
             "schema": 1,
@@ -158,7 +158,6 @@ class DensitySchedule:
             doc["sigma"] = [float(sig[b.start + b.size - 1]) for b in self.blocks if b.size > 0]
         else:
             doc["sigma"] = [float(x) for x in sig]
-        if include_entries:
             doc["entries"] = [
                 [str(n), f"{d.numerator}/{d.denominator}"]
                 for n, d in zip(self.elements, self.densities)
@@ -377,7 +376,6 @@ def decreasing_density_schedule(
     form: str = "power_law",
     alpha: float = 1.0,
     densities: Sequence | None = None,
-    tail_start: int | None = None,
 ) -> DensitySchedule:
     """Nonincreasing per-element density schedules.
 
@@ -385,7 +383,8 @@ def decreasing_density_schedule(
     exact binary rational of the float when irrational). pace_based: running
     minimum of the relative gap (|n_k|-|n_{k-1}|)/|n_{k-1}|. custom: caller's
     densities, rejected unless nonincreasing. Diagnostics report the actual
-    finite-data ratios for the decrease conditions, not verdicts.
+    finite-data ratios for the decrease conditions over k >= max(1, n // 4),
+    not verdicts.
     """
     n = len(E)
     if n == 0:
@@ -421,17 +420,16 @@ def decreasing_density_schedule(
     else:
         raise ValueError(f"unknown schedule form {form!r}")
 
-    if tail_start is None:
-        tail_start = max(1, n // 4)
-    diag = _decrease_diagnostics(E, dens, tail_start)
+    diag = _decrease_diagnostics(E, dens)
     diag["form"] = form
     if form == "power_law":
         diag["alpha"] = alpha
     return DensitySchedule(E.elements, tuple(dens), kind=form, diagnostics=diag)
 
 
-def _decrease_diagnostics(E: IntegerSet, dens: list[Fraction], tail_start: int) -> dict:
+def _decrease_diagnostics(E: IntegerSet, dens: list[Fraction]) -> dict:
     n = len(dens)
+    tail_start = max(1, n // 4)
     ratio_a = []
     ratio_b = []
     skipped_gaps = 0
@@ -510,7 +508,7 @@ def monte_carlo_dependence(E: IntegerSet, ell: int, s: int, trials: int, seed: i
         if not is_s_independent(trial.selected, s).independent:
             dependent += 1
     freq = dependent / trials
-    lo, hi = wilson_interval(dependent, trials, Z_99)
+    lo, hi = wilson_interval(dependent, trials)
     return DependenceEstimate(
         s=s,
         ell=ell,

@@ -44,6 +44,12 @@ def test_circle_point_parsing_and_reduction():
         CirclePoint.rational(1, 0)
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+def test_circle_point_angle_must_be_finite(text):
+    with pytest.raises(ValueError, match="finite"):
+        CirclePoint.parse(text)
+
+
 def test_weyl_at_one_is_exactly_one():
     E = generate_primes(10**4)
     for k in (1, 17, len(E)):

@@ -62,6 +62,9 @@ BAD_VALUES = {
     "thresholds": {"tail": 0.5},
     "grid_cap": 0,
     "tail_start": -1,
+    "source": {"kind": "integers"},
+    "schedule": {"kind": "linear_blocks", "ells": [1]},
+    "scan_points": ["x/y"],
 }
 
 
@@ -458,6 +461,12 @@ def _set(**changes):
         pytest.param(_set(thresholds={"psi_decay": 7}), [], "certify", False, id="threshold_above_1"),
         pytest.param(_set(psi_fractions=[0]), [], "certify", False, id="zero_psi_fraction"),
         pytest.param(_set(scan_checkpoints=0), [], "certify", False, id="zero_scan_checkpoints"),
+        pytest.param(_set(source={"kind": "primes"}), [], "certify", False, id="spec_missing_key"),
+        pytest.param(_set(partition={"kind": "dyadic", "base": 3}), [], "certify", False, id="spec_unknown_key"),
+        pytest.param(_set(scan_points=["x/y"]), [], "certify", False, id="scan_point_not_a_number"),
+        pytest.param(_set(scan_points=["nan"]), [], "certify", False, id="scan_point_nan"),
+        pytest.param(_set(schedule={"kind": "uniform", "delta": "1/2"}), [], "certify", False, id="schedule_uniform"),
+        pytest.param(_set(schedule={"kind": "power_law", "alpha": 1.0}), [], "certify", False, id="schedule_power_law"),
         pytest.param(_set(tail_start=99), [], "certify", True, id="tail_start_past_blocks_certify"),
         pytest.param(_set(tail_start=99), [], "block-independence", True, id="tail_start_past_blocks_block"),
     ],
@@ -477,6 +486,20 @@ def test_cli_pipeline_bad_input_exits_3(tmp_path, capsys, monkeypatch, edit, arg
     assert not (tmp_path / "records").exists()
     # a config that is wrong on its own is refused before any env is built
     assert len(builds) == int(env_built)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["independence", "--set", "{dir}", "--s", "2"], id="set_dir"),
+        pytest.param(["--config", "{dir}", "pipeline", "certify"], id="config_dir"),
+    ],
+)
+def test_cli_unreadable_path_exits_3(tmp_path, capsys, argv):
+    # a directory where a file belongs is a precondition failure, not a crash
+    code = main([arg.format(dir=tmp_path) for arg in argv])
+    assert code == EXIT_PRECONDITION
+    assert "error:" in capsys.readouterr().err
 
 
 # Golden values of the record contract. The rerun tests compare two runs of
