@@ -19,13 +19,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._util import ln_int
-from .integer_sets import IntegerSet
+from .integer_sets import INT64_SAFE, IntegerSet
 from .selection import DensitySchedule, SelectionTrial
 
 DEFAULT_GRID_CAP = 1 << 20
 DEFAULT_EXCLUSION_DENOMINATOR = 16
 DEFAULT_EXCLUSION_RADIUS_SCALE = 0.05
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def character_values(elements: Sequence[int], point: CirclePoint) -> np.ndarray:
     """e_n(t) for each n, exact in phase up to one final float rounding."""
     if point.kind == "rational":
         a, q = point.a, point.q
-        if elements and max(abs(elements[0]), abs(elements[-1])) * a < _INT64_SAFE:
+        if elements and max(abs(elements[0]), abs(elements[-1])) * a < INT64_SAFE:
             arr = np.array(elements, dtype=np.int64)
             residues = (arr * a) % q
         else:
@@ -273,13 +272,11 @@ def equidistribution_scan(
 # -- sup norms on root-of-unity grids ----------------------------------------
 
 
-def _grid_values(freqs: Sequence[int] | np.ndarray, coeffs: np.ndarray, grid_size: int) -> np.ndarray:
+def _grid_values(freqs: np.ndarray, coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
-    if isinstance(freqs, np.ndarray):
-        bins = np.mod(freqs, grid_size)
-    else:  # Python ints reduce exactly at any size
-        bins = np.fromiter((n % grid_size for n in freqs), dtype=np.int64, count=len(freqs))
+    # int64 freqs, or an object array of Python ints that reduce exactly at any size
+    bins = np.mod(freqs, grid_size).astype(np.int64)
     arr = np.zeros(grid_size, dtype=complex)
     # unbuffered and in input order: colliding bins sum in the same order as
     # a term-by-term loop, so the result is bit-identical to one
@@ -289,7 +286,8 @@ def _grid_values(freqs: Sequence[int] | np.ndarray, coeffs: np.ndarray, grid_siz
 
 def grid_values(spectrum: Mapping[int, complex], grid_size: int) -> np.ndarray:
     """f at the grid_size-th roots of unity, frequencies folded mod the grid."""
-    return _grid_values(list(spectrum), np.array(list(spectrum.values()), dtype=complex), grid_size)
+    freqs = np.array(list(spectrum), dtype=object)
+    return _grid_values(freqs, np.array(list(spectrum.values()), dtype=complex), grid_size)
 
 
 @dataclass(frozen=True)
@@ -322,10 +320,10 @@ def sup_norm_via_grid(spectrum: Mapping[int, complex], grid_cap: int = DEFAULT_G
     support = {n: c for n, c in spectrum.items() if c != 0}
     coeffs = np.array(list(support.values()), dtype=complex)
     N = max((abs(n) for n in support), default=0)
-    return _grid_sup(list(support), coeffs, N, grid_cap)
+    return _grid_sup(np.array(list(support), dtype=object), coeffs, N, grid_cap)
 
 
-def _grid_sup(freqs: Sequence[int] | np.ndarray, coeffs: np.ndarray, N: int, grid_cap: int) -> GridSupReport:
+def _grid_sup(freqs: np.ndarray, coeffs: np.ndarray, N: int, grid_cap: int) -> GridSupReport:
     """sup_norm_via_grid on a support already cut to nonzero coefficients,
     whose largest |frequency| is N."""
     if len(coeffs) == 0:
@@ -393,9 +391,7 @@ def psi(
     sigma_k = schedule.sigma_at(k)
     if sigma_k <= 0:
         raise ValueError("psi undefined: sigma_k = 0")
-    prefix = E.elements[:k]
-    members = frozenset(trial.selected.elements)
-    flags = np.fromiter(map(members.__contains__, prefix), dtype=bool, count=k)
+    flags = np.fromiter(map(trial.selected.members.__contains__, E.elements[:k]), dtype=bool, count=k)
     count = int(np.count_nonzero(flags))
     if count == 0:
         raise ValueError("psi undefined: empty selection prefix")
@@ -403,13 +399,9 @@ def psi(
     coeffs = np.where(flags, 1.0 / count, 0.0) - schedule.density_floats()[:k] / sigma_f
     # zero coefficients leave the support, and with it the degree N
     keep = np.flatnonzero(coeffs != 0.0)
-    N = abs(prefix[keep[-1]]) if len(keep) else 0
-    n_k = abs(prefix[-1])
-    if n_k < _INT64_SAFE:
-        freqs = np.array(prefix, dtype=np.int64)[keep]
-    else:
-        freqs = [prefix[i] for i in keep.tolist()]
-    report = _grid_sup(freqs, coeffs[keep], N, grid_cap)
+    N = abs(E.elements[keep[-1]]) if len(keep) else 0
+    n_k = abs(E.elements[k - 1])
+    report = _grid_sup(E.array[:k][keep], coeffs[keep], N, grid_cap)
     a_k = math.sqrt(12.0 * sigma_f * ln_int(n_k)) if n_k > 1 else None
     return PsiPoint(
         k=k,

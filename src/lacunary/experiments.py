@@ -193,7 +193,7 @@ def _dyadic(spec: dict, source: IntegerSet) -> Partition:
     k_max = spec.get("k_max", "auto")
     if k_max == "auto":
         k_max = max(1, (max(source.max_abs, 2) - 1).bit_length())
-    return dyadic_partition(int(k_max))
+    return dyadic_partition(k_max)
 
 
 def _linear_blocks(spec: dict, decomposition: BlockDecomposition) -> DensitySchedule:
@@ -201,37 +201,40 @@ def _linear_blocks(spec: dict, decomposition: BlockDecomposition) -> DensitySche
     return blockwise_schedule(decomposition, ells)
 
 
-# kind -> (required keys, optional keys, builder). The builders look up the
-# generators in this module when they run, so a name patched here (as the
-# benchmark tracer in bench/spans.py does) still sees every call.
+# the JSON shapes a spec value may take, as (rule, test); type() rules out bools
+_INT = ("an integer", lambda v: type(v) is int)
+_INTS = ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(type(x) is int for x in v))
+
+# kind -> ({required key: shape}, {optional key: shape}, builder). The builders
+# look up the generators in this module when they run, so a name patched here
+# (as the benchmark tracer in bench/spans.py does) still sees every call.
 _SOURCES = {
-    "primes": (("limit",), (), lambda spec: generate_primes(int(spec["limit"]))),
+    "primes": ({"limit": _INT}, {}, lambda spec: generate_primes(spec["limit"])),
     "polynomial": (
-        ("coefficients", "k_max"), (),
-        lambda spec: generate_polynomial([int(c) for c in spec["coefficients"]], int(spec["k_max"])),
+        {"coefficients": _INTS, "k_max": _INT}, {}, lambda spec: generate_polynomial(spec["coefficients"], spec["k_max"])
     ),
-    "geometric": (("base", "k_max"), (), lambda spec: generate_geometric(int(spec["base"]), int(spec["k_max"]))),
-    "integers": (("n_max",), (), lambda spec: generate_integers(int(spec["n_max"]))),
+    "geometric": ({"base": _INT, "k_max": _INT}, {}, lambda spec: generate_geometric(spec["base"], spec["k_max"])),
+    "integers": ({"n_max": _INT}, {}, lambda spec: generate_integers(spec["n_max"])),
 }
 _PARTITIONS = {
-    "dyadic": ((), ("k_max",), _dyadic),
+    "dyadic": ({}, {"k_max": ('an integer or "auto"', lambda v: v == "auto" or type(v) is int)}, _dyadic),
     # four blocks by default: enough to show the factorial cuts at work
     "gross": (
-        (), ("k_max", "exponents"),
-        lambda spec, source: gross_partition(int(spec.get("k_max", 4)), spec.get("exponents")),
+        {}, {"k_max": _INT, "exponents": _INTS},
+        lambda spec, source: gross_partition(spec.get("k_max", 4), spec.get("exponents")),
     ),
-    "custom": (("cut_points",), (), lambda spec, source: Partition(tuple(int(p) for p in spec["cut_points"]), "custom")),
+    "custom": ({"cut_points": _INTS}, {}, lambda spec, source: Partition(tuple(spec["cut_points"]), "custom")),
 }
 _SCHEDULES = {
-    "linear_blocks": ((), (), _linear_blocks),
-    "blockwise": (("ells",), (), lambda spec, d: blockwise_schedule(d, [int(x) for x in spec["ells"]])),
-    "factorial_cap": ((), (), lambda spec, d: factorial_block_schedule(d)),
+    "linear_blocks": ({}, {}, _linear_blocks),
+    "blockwise": ({"ells": _INTS}, {}, lambda spec, d: blockwise_schedule(d, spec["ells"])),
+    "factorial_cap": ({}, {}, lambda spec, d: factorial_block_schedule(d)),
 }
 
 
 def _builder(table: dict, what: str, spec: dict):
     """The builder for spec's kind, once spec holds every key that kind
-    requires and no key it does not take."""
+    requires, no key it does not take, and each value in its JSON shape."""
     kind = spec.get("kind")
     if kind not in table:
         raise ValueError(f"unknown {what} kind {kind!r}; known kinds: {', '.join(table)}")
@@ -239,9 +242,13 @@ def _builder(table: dict, what: str, spec: dict):
     missing = [f"{what}.{key}" for key in required if key not in spec]
     if missing:
         raise ValueError(f"config lacks {', '.join(missing)}, which {what} kind {kind!r} requires")
-    unknown = sorted(f"{what}.{key}" for key in set(spec) - {"kind", *required, *optional})
+    shapes = {**required, **optional}
+    unknown = sorted(f"{what}.{key}" for key in set(spec) - {"kind", *shapes})
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(unknown)} for {what} kind {kind!r}")
+    for key, (rule, ok) in shapes.items():
+        if key in spec:
+            _require(ok(spec[key]), f"{what}.{key}", rule, spec[key])
     return build
 
 

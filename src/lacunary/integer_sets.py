@@ -1,8 +1,9 @@
 """Finite integer sets ordered by absolute value: generators, distribution
 function, and growth classification.
 
-Elements are arbitrary-precision Python ints throughout; geometric sequences
-and gross partition cut points overflow 64 bits well inside desk scale.
+Elements are arbitrary-precision Python ints; geometric sequences overflow
+64 bits well inside desk scale. `members` (a frozenset) and `array` (int64 if
+every |n| < INT64_SAFE, else object) are built on first use and then kept.
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ import operator
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, compress, islice
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ._util import ln_int
 
+INT64_SAFE = 1 << 62  # |n| below this leaves int64 headroom for sums and small multiples
 # classify_growth's verdict margin eta, sample count and fewest usable samples
 GROWTH_MARGIN = 0.05
 GROWTH_SAMPLES = 48
@@ -39,14 +44,20 @@ class IntegerSet:
 
     def __post_init__(self) -> None:
         elems = tuple(self.elements)
-        abs_vals = tuple(map(abs, elems))
         # strictly increasing (|n|, n) keys mean sorted and duplicate-free
-        keys = list(zip(abs_vals, elems))
+        keys = list(zip(map(abs, elems), elems))
         if any(map(operator.ge, keys, islice(keys, 1, None))):
             raise ValueError("elements must be duplicate-free and sorted by |n| (negative first on ties)")
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_abs", abs_vals)
-        object.__setattr__(self, "_members", frozenset(elems))
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.elements)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        # the dtype is always explicit: np.array([2**63]) alone gives uint64
+        return np.array(self.elements, dtype=np.int64 if self.max_abs < INT64_SAFE else object)
 
     @classmethod
     def from_iterable(cls, values: Iterable[int], label: str = "") -> "IntegerSet":
@@ -56,20 +67,20 @@ class IntegerSet:
         return len(self.elements)
 
     def __contains__(self, n: int) -> bool:
-        return n in self._members  # type: ignore[attr-defined]
+        return n in self.members
 
     def __iter__(self):
         return iter(self.elements)
 
     @property
     def max_abs(self) -> int:
-        return self._abs[-1] if self.elements else 0  # type: ignore[attr-defined]
+        return abs(self.elements[-1]) if self.elements else 0
 
     def distribution(self, t: int) -> int:
         """Count of elements with |n| <= t (the distribution function)."""
         if t < 0:
             raise ValueError("distribution function takes a nonnegative threshold")
-        return bisect_right(self._abs, t)  # type: ignore[attr-defined]
+        return bisect_right(self.elements, t, key=abs)
 
     # -- serialization ------------------------------------------------------
 

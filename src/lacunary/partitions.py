@@ -144,15 +144,10 @@ def decompose(E: IntegerSet, partition: Partition) -> BlockDecomposition:
     """Split E into per-block sets; elements beyond the last cut are reported
     as an explicit remainder rather than an implicit extra block."""
     elems = E.elements
-    abs_vals = [abs(n) for n in elems]
-    bounds = [bisect_right(abs_vals, p) for p in partition.cut_points]
-    blocks = []
-    lo = 0
-    for k, hi in enumerate(bounds):
-        blocks.append(IntegerSet(elems[lo:hi], f"{E.label}|block{k}"))
-        lo = hi
-    remainder = IntegerSet(elems[lo:], f"{E.label}|remainder")
-    return BlockDecomposition(partition, E, tuple(blocks), remainder)
+    cuts = [0] + [bisect_right(elems, p, key=abs) for p in partition.cut_points]
+    blocks = tuple(IntegerSet(elems[lo:hi], f"{E.label}|block{k}") for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])))
+    remainder = IntegerSet(elems[cuts[-1] :], f"{E.label}|remainder")
+    return BlockDecomposition(partition, E, blocks, remainder)
 
 
 @dataclass(frozen=True)

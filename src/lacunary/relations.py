@@ -16,7 +16,9 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Iterable, Sequence
 
-from .integer_sets import IntegerSet
+import numpy as np
+
+from .integer_sets import INT64_SAFE, IntegerSet
 
 DEFAULT_S_MAX = 4
 
@@ -25,7 +27,6 @@ DEFAULT_S_MAX = 4
 DFS_BUDGET = 2_000_000
 MITM_MEMORY_BUDGET = 2_000_000
 MITM_TIME_BUDGET = 20_000_000
-_INT64_SAFE = 1 << 62
 
 
 class RelationExplosionError(ValueError):
@@ -255,14 +256,12 @@ def _mitm_witness(coeffs: tuple[int, ...], elems: tuple[int, ...], h: int) -> tu
     return scan(h, 0, ())
 
 
-def _numpy_witness_m3(coeffs: tuple[int, ...], elems: tuple[int, ...]) -> tuple[int, ...] | None:
-    import numpy as np
-
+def _numpy_witness_m3(coeffs: tuple[int, ...], elems: np.ndarray) -> tuple[int, ...] | None:
     c0, c1, c2 = coeffs
-    arr = np.array(elems, dtype=np.int64)
+    arr = np.asarray(elems, dtype=np.int64)
     sorted_vals = np.sort(arr)
     n = len(arr)
-    for i, q0 in enumerate(elems):
+    for q0 in arr:
         target = -c0 * q0 - c1 * arr
         ok = target % c2 == 0
         q2 = np.where(ok, target // c2, 0)
@@ -273,16 +272,14 @@ def _numpy_witness_m3(coeffs: tuple[int, ...], elems: tuple[int, ...]) -> tuple[
         hits = np.nonzero(valid)[0]
         if hits.size:
             j = int(hits[0])
-            return (q0, int(arr[j]), int(q2[j]))
+            return (int(q0), int(arr[j]), int(q2[j]))
     return None
 
 
-def _numpy_witness_m4(coeffs: tuple[int, ...], elems: tuple[int, ...]) -> tuple[int, ...] | None:
+def _numpy_witness_m4(coeffs: tuple[int, ...], elems: np.ndarray) -> tuple[int, ...] | None:
     """Meet in the middle over coefficient halves with sorted pair sums."""
-    import numpy as np
-
     c0, c1, c2, c3 = coeffs
-    arr = np.array(elems, dtype=np.int64)
+    arr = np.asarray(elems, dtype=np.int64)
     n = len(arr)
     i = np.repeat(np.arange(n, dtype=np.int32), n)
     j = np.tile(np.arange(n, dtype=np.int32), n)
@@ -300,7 +297,7 @@ def _numpy_witness_m4(coeffs: tuple[int, ...], elems: tuple[int, ...]) -> tuple[
             a_idx = int(order[pos])
             ii, jj = int(i[a_idx]), int(j[a_idx])
             if ii != kk and ii != ll and jj != kk and jj != ll:
-                return (elems[ii], elems[jj], elems[kk], elems[ll])
+                return tuple(int(arr[x]) for x in (ii, jj, kk, ll))
     return None
 
 
@@ -309,18 +306,18 @@ _NUMPY_M4_PAIR_BUDGET = 8_000_000
 
 def _find_witness(coeffs: tuple[int, ...], E: IntegerSet) -> tuple[int, ...] | None:
     elems = E.elements
-    members = E._members  # type: ignore[attr-defined]
     n = len(elems)
     m = len(coeffs)
     if n < m:
         return None
     if perm(n, m - 1) <= DFS_BUDGET:
-        return _dfs_witness(coeffs, elems, members)
-    int64_safe = E.max_abs * 2 * sum(abs(c) for c in coeffs) < _INT64_SAFE
+        return _dfs_witness(coeffs, elems, E.members)
+    # an int64-safe search has max_abs < INT64_SAFE, so E.array is an int64 view
+    int64_safe = E.max_abs * 2 * sum(abs(c) for c in coeffs) < INT64_SAFE
     if m == 3 and int64_safe:
-        return _numpy_witness_m3(coeffs, elems)
+        return _numpy_witness_m3(coeffs, E.array)
     if m == 4 and int64_safe and n * n <= _NUMPY_M4_PAIR_BUDGET:
-        return _numpy_witness_m4(coeffs, elems)
+        return _numpy_witness_m4(coeffs, E.array)
     h = m // 2
     while h > 1 and perm(n, h) > MITM_MEMORY_BUDGET:
         h -= 1

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, groupby
 from typing import Sequence
 
 import numpy as np
@@ -247,10 +247,7 @@ class SelectionTrial:
 
     def to_bitmap_json_dict(self, E: IntegerSet) -> dict:
         """Compact form: one bit per source element, plus the source digest."""
-        buf = bytearray((len(E) + 7) // 8)
-        for i, n in enumerate(E.elements):
-            if n in self.selected:
-                buf[i >> 3] |= 1 << (i & 7)
+        flags = np.fromiter(map(self.selected.members.__contains__, E.elements), dtype=bool, count=len(E))
         return {
             "schema": 1,
             "format": "bitmap",
@@ -258,7 +255,7 @@ class SelectionTrial:
             "source_label": E.label,
             "source_size": len(E),
             "elements_sha256": _digest(E.elements),
-            "bits_hex": bytes(buf).hex(),
+            "bits_hex": np.packbits(flags, bitorder="little").tobytes().hex(),
         }
 
     @classmethod
@@ -267,10 +264,10 @@ class SelectionTrial:
             raise ValueError("bitmap trial JSON needs the source set to decode")
         if _digest(E.elements) != doc["elements_sha256"]:
             raise ValueError("trial does not match this set (digest mismatch)")
-        buf = bytes.fromhex(doc["bits_hex"])
-        picked = tuple(
-            n for i, n in enumerate(E.elements) if (buf[i >> 3] >> (i & 7)) & 1
-        )
+        buf = np.frombuffer(bytes.fromhex(doc["bits_hex"]), dtype=np.uint8)
+        if len(buf) != (len(E) + 7) // 8:
+            raise ValueError(f"bitmap holds {len(buf)} bytes, the set needs {(len(E) + 7) // 8}")
+        picked = tuple(compress(E.elements, np.unpackbits(buf, count=len(E), bitorder="little").tolist()))
         return cls(
             seed=doc["seed"],
             selected=IntegerSet(picked, f"{E.label}|seed{doc['seed']}"),

@@ -75,6 +75,21 @@ def test_config_errors_name_the_key(key):
         ExperimentConfig.from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "key, spec, name",
+    [
+        ("source", {"kind": "primes", "limit": [1]}, "source.limit"),
+        ("source", {"kind": "integers", "n_max": True}, "source.n_max"),
+        ("partition", {"kind": "dyadic", "k_max": "all"}, "partition.k_max"),
+        ("partition", {"kind": "custom", "cut_points": [4, "64"]}, "partition.cut_points"),
+        ("schedule", {"kind": "blockwise", "ells": 5}, "schedule.ells"),
+    ],
+)
+def test_spec_value_errors_name_the_key(key, spec, name):
+    with pytest.raises(ValueError, match=f"config key '{name}' must be"):
+        small_block_config(**{key: spec})
+
+
 def test_build_source_kinds():
     assert len(build_source({"kind": "primes", "limit": 100})) == 25
     assert build_source({"kind": "geometric", "base": 2, "k_max": 5}).elements == (2, 4, 8, 16, 32)
@@ -467,6 +482,9 @@ def _set(**changes):
         pytest.param(_set(scan_points=["nan"]), [], "certify", False, id="scan_point_nan"),
         pytest.param(_set(schedule={"kind": "uniform", "delta": "1/2"}), [], "certify", False, id="schedule_uniform"),
         pytest.param(_set(schedule={"kind": "power_law", "alpha": 1.0}), [], "certify", False, id="schedule_power_law"),
+        pytest.param(_set(source={"kind": "primes", "limit": [1]}), [], "certify", False, id="spec_value_not_an_integer"),
+        pytest.param(_set(schedule={"kind": "blockwise", "ells": 5}), [], "certify", False, id="spec_value_not_a_list"),
+        pytest.param(_set(partition={"kind": "dyadic", "k_max": "all"}), [], "certify", False, id="spec_value_not_int_or_auto"),
         pytest.param(_set(tail_start=99), [], "certify", True, id="tail_start_past_blocks_certify"),
         pytest.param(_set(tail_start=99), [], "block-independence", True, id="tail_start_past_blocks_block"),
     ],

@@ -1,21 +1,37 @@
 import json
 import math
 import random
+from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from lacunary import (
     IntegerSet,
+    Partition,
+    PsiPoint,
+    SelectionTrial,
     classify_growth,
+    decompose,
     distribution_function,
+    dyadic_partition,
     generate_geometric,
     generate_integers,
     generate_polynomial,
     generate_primes,
     generate_sumset,
+    is_s_independent,
+    psi,
+    uniform_schedule,
 )
+from lacunary._util import ln_int
+from lacunary.equidistribution import _grid_values
+from lacunary.integer_sets import INT64_SAFE
+from lacunary.relations import _search_reps
 
-from _oracles import is_prime_trial_division
+from _oracles import is_prime_trial_division, naive_s_independent, relations_grouped
+from test_equidistribution import _loop_grid_values, _psi_dict_spectrum
 
 
 def test_ordering_by_absolute_value_negative_first():
@@ -196,3 +212,72 @@ def test_growth_report_invariants():
             assert report.is_polynomial
             assert 0 < report.epsilon_hat <= 1
             assert report.c_hat >= 1
+
+
+def test_views_built_on_first_use():
+    E = generate_primes(2**16)
+    D = decompose(E, dyadic_partition(16))
+    for S in (E, *D.blocks, D.remainder):
+        assert not {"members", "array"} & set(vars(S)), S.label
+    assert 65521 in E and "members" in vars(E) and "array" not in vars(E)
+    assert E.array is E.array and E.array.dtype == np.int64
+
+
+def test_abs_lookups_match_brute_force_with_negatives_and_ties():
+    rng = random.Random(11)
+    cuts = Partition((1, 4, 16, 30), "custom")
+    for _ in range(30):
+        vals = {rng.randint(-40, 40) for _ in range(rng.randint(0, 30))}
+        vals |= {-v for v in rng.sample(sorted(vals), min(3, len(vals)))}  # ties |n| = |-n|
+        E = IntegerSet.from_iterable(vals)
+        assert E.max_abs == max(map(abs, vals), default=0)
+        for t in range(45):
+            assert E.distribution(t) == sum(abs(v) <= t for v in vals)
+        D = decompose(E, cuts)
+        bounds = (-1, *cuts.cut_points)
+        for blk, lo, hi in zip(D.blocks, bounds, bounds[1:]):
+            assert set(blk) == {v for v in vals if lo < abs(v) <= hi}
+        assert set(D.remainder) == {v for v in vals if abs(v) > 30}
+
+
+@pytest.mark.parametrize("top", [2**62 - 1, 2**62], ids=["below_2^62", "at_2^62"])
+def test_int64_boundary_matches_python_references(top):
+    # max |n| on either side of INT64_SAFE, with +-n ties at the top
+    E = IntegerSet.from_iterable([1, -2, 2, 5, top - 4, -(top - 2), top - 2, -top, top])
+    assert E.max_abs == top
+    assert E.array.dtype == (np.int64 if top < INT64_SAFE else object)
+    assert E.array.tolist() == list(E.elements)
+
+    coeffs = np.linspace(-1.0, 1.0, len(E)) + 0.25j
+    for M in (64, 7, 1, 1 << 10):
+        assert np.array_equal(_grid_values(E.array, coeffs, M), _loop_grid_values(dict(zip(E, coeffs)), M))
+
+    sched = uniform_schedule(E, Fraction(1, 2))
+    trial = SelectionTrial(seed=0, selected=IntegerSet.from_iterable([-2, 5, top - 2, -top]))
+    cap = 1 << 10
+    for k in (4, 7, len(E)):
+        spectrum = _psi_dict_spectrum(E, trial, sched, k)
+        natural = 4 * max(map(abs, spectrum))
+        M = min(natural, cap)
+        value = float(np.max(np.abs(_loop_grid_values(spectrum, M))))
+        sigma = float(sched.sigma_at(k))
+        expected = PsiPoint(
+            k=k, value=value, certified_bound=5.0 * value, certified=natural <= cap, grid_size=M,
+            cap_active=natural > cap, sigma_k=sigma, selected_count=sum(n in trial.selected for n in E.elements[:k]),
+            a_k=math.sqrt(12.0 * sigma * ln_int(abs(E.elements[k - 1]))),
+        )
+        assert psi(E, trial, sched, k, cap) == expected
+
+    grouped = relations_grouped(2)
+    sparse = IntegerSet.from_iterable([1, 4, 13, -(top - 7), top])
+    for S in (E, sparse):
+        report = is_s_independent(S, 2)
+        assert report.independent == naive_s_independent(S.elements, grouped)
+        # the first vanishing tuple in element order, per relation in search order
+        first = next(
+            ((rel, tup) for rel in _search_reps(2) for tup in permutations(S.elements, len(rel))
+             if sum(c * q for c, q in zip(rel, tup)) == 0),
+            (None, None),
+        )
+        assert (report.witness_relation, report.witness_elements) == first
+    assert not is_s_independent(E, 2).independent and is_s_independent(sparse, 2).independent

@@ -284,3 +284,14 @@ def test_trial_bitmap_round_trip():
         SelectionTrial.from_json_dict(doc, generate_primes(1000))
     with pytest.raises(ValueError, match="source set"):
         SelectionTrial.from_json_dict(doc)
+
+
+def test_trial_bitmap_bits_pinned():
+    # the bytes the per-bit loop encoder wrote; 196 elements leave the last byte half used
+    E = generate_primes(1200)
+    trial = select(E, uniform_schedule(E, Fraction(1, 3)), 2024)
+    doc = trial.to_bitmap_json_dict(E)
+    assert doc["bits_hex"] == "4e4140b00694ac42c069045b3412604b60f8420a423a250002"
+    assert SelectionTrial.from_json_dict(doc, E).selected == trial.selected
+    with pytest.raises(ValueError, match="bitmap holds 24 bytes"):
+        SelectionTrial.from_json_dict({**doc, "bits_hex": doc["bits_hex"][:-2]}, E)
