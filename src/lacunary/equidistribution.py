@@ -447,10 +447,10 @@ def psi_series(
 def bernstein_bound(sigma: float, a: float) -> float:
     """4 exp(-a^2 / (4 (sigma + a))), for sums of centered variables bounded
     by 1 with total variance at most sigma."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be positive and finite, got {a}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     return 4.0 * math.exp(-a * a / (4.0 * (sigma + a)))
 
 

@@ -12,7 +12,6 @@ import datetime as _dt
 import hashlib
 import json
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -75,115 +74,49 @@ class GrowthGateError(ValueError):
 # config.thresholds may name a subset of these; the rest keep their default
 DEFAULT_THRESHOLDS = {"tail_independence": 0.95, "psi_decay": 0.90}
 
-# per field annotation: the JSON shape from_json_dict accepts and the coercion
-# it applies; tuple fields arrive as arrays
-_SHAPES = {
-    "dict": ("an object", dict, dict),
-    "int": ("an integer", int, int),
-    "bool": ("true or false", bool, bool),
-    "str": ("a string", str, str),
-}
-_ARRAY = ("an array", list, tuple)
+
+# -- config rules: (what a value must be, test) ---------------------------------
+# An integer is exactly an int and a number an int or a float: no bool passes
+# for either, and every accepted value survives to_json_dict and hash().
 
 
-def _require(ok: bool, key: str, rule: str, value) -> None:
-    if not ok:
-        raise ValueError(f"config key {key!r} must be {rule}, got {value!r}")
-
-
-def _in_range(values, lo, hi, kind=numbers.Real) -> bool:
-    return all(isinstance(v, kind) and lo <= v <= hi for v in values)
-
-
-def _is_point(text) -> bool:
+def _is_point(v) -> bool:
     try:
-        CirclePoint.parse(text)
-    except (AttributeError, ValueError):
+        return type(v) is str and CirclePoint.parse(v) is not None
+    except ValueError:
         return False
-    return True
 
 
-@dataclass
-class ExperimentConfig:
-    """The experiment contract. Its fields are the only statement of the
-    config schema: JSON keys, defaults and coercions all derive from them."""
+def _list_of(what: str, ok, nonempty: bool = False) -> tuple:
+    # a tuple passes too: from_json_dict turns JSON arrays into tuples
+    rule = f"a nonempty list of {what}" if nonempty else f"a list of {what}"
+    return (rule, lambda v: type(v) in (list, tuple) and (bool(v) or not nonempty) and all(map(ok, v)))
 
-    source: dict
-    partition: dict
-    schedule: dict
-    s_values: tuple[int, ...] = (2,)
-    trials: int = 100
-    seed: int = 0
-    tail_start: int = 1
-    grid_cap: int = DEFAULT_GRID_CAP
-    psi_fractions: tuple[float, ...] = (0.25, 1.0)
-    scan_points: tuple[str, ...] = DEFAULT_SCAN_POINTS
-    scan_checkpoints: int = 4
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
-    compute_psi: bool = True
-    compute_scan: bool = True
-    out_dir: str = ""
-    label: str = ""
-    schema: int = 1
 
-    def __post_init__(self) -> None:
-        if self.schema != 1:
-            raise ValueError(f"unsupported config schema {self.schema!r}")
-        for key, table in (("source", _SOURCES), ("partition", _PARTITIONS), ("schedule", _SCHEDULES)):
-            spec = getattr(self, key)
-            _require(isinstance(spec, dict), key, "an object", spec)
-            _builder(table, key, spec)
-        _require(
-            bool(self.s_values) and _in_range(self.s_values, 2, DEFAULT_S_MAX, numbers.Integral),
-            "s_values", f"a nonempty list of integers in 2..{DEFAULT_S_MAX}", self.s_values,
-        )
-        _require(
-            set(self.thresholds) <= set(DEFAULT_THRESHOLDS) and _in_range(self.thresholds.values(), 0, 1),
-            "thresholds", f"an object mapping {' or '.join(DEFAULT_THRESHOLDS)} to [0, 1]", self.thresholds,
-        )
-        _require(
-            all(isinstance(f, numbers.Real) and 0 < f <= 1 for f in self.psi_fractions),
-            "psi_fractions", "a list of numbers in (0, 1]", self.psi_fractions,
-        )
-        bad_points = [p for p in self.scan_points if not _is_point(p)]
-        _require(not bad_points, "scan_points", 'a list of "a/q" or finite decimal turns', bad_points)
-        for key, low in (("trials", 1), ("grid_cap", 1), ("scan_checkpoints", 1), ("tail_start", 0)):
-            _require(getattr(self, key) >= low, key, f">= {low}", getattr(self, key))
+_INT = ("an integer", lambda v: type(v) is int)
+_INTS = _list_of("integers", _INT[1])
+_BOOL = ("true or false", lambda v: type(v) is bool)
+_STR = ("a string", lambda v: type(v) is str)
+_OBJECT = ("an object", lambda v: type(v) is dict)
 
-    def to_json_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {key: list(v) if isinstance(v, tuple) else v for key, v in doc.items()}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+def _at_least(low: int) -> tuple:
+    return (f"an integer >= {low}", lambda v: type(v) is int and v >= low)
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(doc) - set(known))
-        if unknown:
-            raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
-        missing = [
-            name for name, f in known.items()
-            if f.default is MISSING and f.default_factory is MISSING and name not in doc
-        ]
-        if missing:
-            raise ValueError(f"config lacks {', '.join(missing)}")
-        values = {}
-        for key, value in doc.items():
-            shape, accepted, coerce = _SHAPES.get(known[key].type, _ARRAY)
-            _require(isinstance(value, accepted), key, shape, value)
-            values[key] = coerce(value)
-        return cls(**values)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_json_dict(json.loads(text))
+def _check(key: str, value, rule: tuple) -> None:
+    what, ok = rule
+    if not ok(value):
+        raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
 
-    def hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.to_json_dict()).encode()).hexdigest()
+
+def _check_keys(doc: dict, required, known, prefix: str = "", context: str = "") -> None:
+    missing = [f"{prefix}{key}" for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"config lacks {', '.join(missing)}{context}")
+    unknown = sorted(f"{prefix}{key}" for key in set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}{context}")
 
 
 # -- builders: one table per config object, keyed by its "kind" ----------------
@@ -201,11 +134,7 @@ def _linear_blocks(spec: dict, decomposition: BlockDecomposition) -> DensitySche
     return blockwise_schedule(decomposition, ells)
 
 
-# the JSON shapes a spec value may take, as (rule, test); type() rules out bools
-_INT = ("an integer", lambda v: type(v) is int)
-_INTS = ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(type(x) is int for x in v))
-
-# kind -> ({required key: shape}, {optional key: shape}, builder). The builders
+# kind -> ({required key: rule}, {optional key: rule}, builder). The builders
 # look up the generators in this module when they run, so a name patched here
 # (as the benchmark tracer in bench/spans.py does) still sees every call.
 _SOURCES = {
@@ -234,21 +163,15 @@ _SCHEDULES = {
 
 def _builder(table: dict, what: str, spec: dict):
     """The builder for spec's kind, once spec holds every key that kind
-    requires, no key it does not take, and each value in its JSON shape."""
+    requires, no key it does not take, and each value passes its rule."""
     kind = spec.get("kind")
-    if kind not in table:
-        raise ValueError(f"unknown {what} kind {kind!r}; known kinds: {', '.join(table)}")
+    _check(f"{what}.kind", kind, (f"one of {', '.join(table)}", lambda v: type(v) is str and v in table))
     required, optional, build = table[kind]
-    missing = [f"{what}.{key}" for key in required if key not in spec]
-    if missing:
-        raise ValueError(f"config lacks {', '.join(missing)}, which {what} kind {kind!r} requires")
-    shapes = {**required, **optional}
-    unknown = sorted(f"{what}.{key}" for key in set(spec) - {"kind", *shapes})
-    if unknown:
-        raise ValueError(f"unknown config key(s) {', '.join(unknown)} for {what} kind {kind!r}")
-    for key, (rule, ok) in shapes.items():
+    rules = {**required, **optional}
+    _check_keys(spec, required, {"kind", *rules}, f"{what}.", f" for {what} kind {kind!r}")
+    for key, rule in rules.items():
         if key in spec:
-            _require(ok(spec[key]), f"{what}.{key}", rule, spec[key])
+            _check(f"{what}.{key}", spec[key], rule)
     return build
 
 
@@ -262,6 +185,78 @@ def build_partition(spec: dict, source: IntegerSet) -> Partition:
 
 def build_schedule(spec: dict, decomposition: BlockDecomposition) -> DensitySchedule:
     return _builder(_SCHEDULES, "schedule", spec)(spec, decomposition)
+
+
+def _field(rule: tuple, kinds: dict | None = None, **kwargs):
+    # kinds: the builder table whose rules a spec object's own keys obey
+    return field(metadata={"rule": rule, "kinds": kinds}, **kwargs)
+
+
+@dataclass
+class ExperimentConfig:
+    """The experiment contract. Its fields are the only statement of the
+    config schema: each declares its JSON key, its default and its rule, and
+    __post_init__ applies every rule, so a config built in Python or loaded
+    from JSON is refused with a ValueError naming the key it breaks."""
+
+    source: dict = _field(_OBJECT, _SOURCES)
+    partition: dict = _field(_OBJECT, _PARTITIONS)
+    schedule: dict = _field(_OBJECT, _SCHEDULES)
+    s_values: tuple[int, ...] = _field(
+        _list_of(f"integers in 2..{DEFAULT_S_MAX}", lambda s: type(s) is int and 2 <= s <= DEFAULT_S_MAX, True),
+        default=(2,),
+    )
+    trials: int = _field(_at_least(1), default=100)
+    seed: int = _field(_INT, default=0)
+    tail_start: int = _field(_at_least(0), default=1)
+    grid_cap: int = _field(_at_least(1), default=DEFAULT_GRID_CAP)
+    psi_fractions: tuple[float, ...] = _field(
+        _list_of("numbers in (0, 1]", lambda f: type(f) in (int, float) and 0 < f <= 1), default=(0.25, 1.0)
+    )
+    scan_points: tuple[str, ...] = _field(
+        _list_of('"a/q" or finite decimal turns', _is_point), default=DEFAULT_SCAN_POINTS
+    )
+    scan_checkpoints: int = _field(_at_least(1), default=4)
+    thresholds: dict = _field(
+        (f"an object mapping {' or '.join(DEFAULT_THRESHOLDS)} to [0, 1]",
+         lambda v: type(v) is dict and set(v) <= set(DEFAULT_THRESHOLDS)
+         and all(type(x) in (int, float) and 0 <= x <= 1 for x in v.values())),
+        default_factory=lambda: dict(DEFAULT_THRESHOLDS),
+    )
+    compute_psi: bool = _field(_BOOL, default=True)
+    compute_scan: bool = _field(_BOOL, default=True)
+    out_dir: str = _field(_STR, default="")
+    label: str = _field(_STR, default="")
+    schema: int = _field(("1", lambda v: type(v) is int and v == 1), default=1)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            _check(f.name, value, f.metadata["rule"])
+            if f.metadata["kinds"]:
+                _builder(f.metadata["kinds"], f.name, value)
+
+    def to_json_dict(self) -> dict:
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in doc.items()}
+
+    def to_json(self, indent: int | None = 2) -> str:
+        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
+        if type(doc) is not dict:
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        _check_keys(doc, required, [f.name for f in fields(cls)])
+        return cls(**{key: tuple(v) if type(v) is list else v for key, v in doc.items()})
+
+    @classmethod
+    def from_json(cls, text: str) -> "ExperimentConfig":
+        return cls.from_json_dict(json.loads(text))
+
+    def hash(self) -> str:
+        return hashlib.sha256(canonical_json(self.to_json_dict()).encode()).hexdigest()
 
 
 @dataclass

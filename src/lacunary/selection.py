@@ -54,10 +54,10 @@ def trial_seed(seed: int, trial_index: int) -> int:
 
 
 def _as_density(value) -> Fraction:
-    d = Fraction(value)
-    if not 0 <= d <= 1:
+    # checked before the conversion, which raises OverflowError on inf
+    if not 0 <= value <= 1:
         raise ValueError(f"density {value} outside [0, 1]")
-    return d
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,11 @@ class DensitySchedule:
 
     @classmethod
     def from_json_dict(cls, doc: dict, E: IntegerSet | None = None) -> "DensitySchedule":
+        blocks = None
+        if "blocks" in doc:
+            blocks = tuple(
+                BlockDensity(b["k"], b["ell"], b["size"], Fraction(b["delta"]), b["start"]) for b in doc["blocks"]
+            )
         if "entries" in doc:
             elements = tuple(int(n) for n, _ in doc["entries"])
             densities = tuple(Fraction(d) for _, d in doc["entries"])
@@ -180,17 +185,14 @@ class DensitySchedule:
             if _digest(E.elements) != doc["elements_sha256"]:
                 raise ValueError("schedule does not match this set (digest mismatch)")
             elements = E.elements
+            # sigma_at reads the starts, so the blocks must tile a prefix of E in order
             densities_list: list[Fraction] = []
-            for b in sorted(doc["blocks"], key=lambda b: b["start"]):
-                densities_list.extend([Fraction(b["delta"])] * b["size"])
-            densities_list.extend([Fraction(0)] * (len(elements) - len(densities_list)))
-            densities = tuple(densities_list)
-        blocks = None
-        if "blocks" in doc:
-            blocks = tuple(
-                BlockDensity(b["k"], b["ell"], b["size"], Fraction(b["delta"]), b["start"])
-                for b in doc["blocks"]
-            )
+            for b in blocks:
+                if b.start != len(densities_list) or b.size < 0:
+                    raise ValueError(f"schedule block {b.k} (start {b.start}, size {b.size}) breaks the tiling from 0")
+                densities_list.extend([b.delta] * b.size)
+            # blocks past the end of E leave densities longer than elements, which cls refuses
+            densities = tuple(densities_list + [Fraction(0)] * (len(elements) - len(densities_list)))
         sched = cls(elements, densities, blocks=blocks, kind=doc.get("kind", "custom"))
         if E is not None and not sched.aligned_with(E):
             raise ValueError("schedule misaligned with set")
@@ -267,6 +269,8 @@ class SelectionTrial:
         buf = np.frombuffer(bytes.fromhex(doc["bits_hex"]), dtype=np.uint8)
         if len(buf) != (len(E) + 7) // 8:
             raise ValueError(f"bitmap holds {len(buf)} bytes, the set needs {(len(E) + 7) // 8}")
+        if len(E) % 8 and buf[-1] >> (len(E) % 8):
+            raise ValueError(f"bitmap sets padding bits past the set's {len(E)} elements")
         picked = tuple(compress(E.elements, np.unpackbits(buf, count=len(E), bitorder="little").tolist()))
         return cls(
             seed=doc["seed"],

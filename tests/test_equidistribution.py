@@ -373,6 +373,13 @@ def test_bernstein_bound_values():
         bernstein_bound(-1, 1)
 
 
+@pytest.mark.parametrize("sigma, a", [(1, math.nan), (1, math.inf), (math.nan, 1), (math.inf, 1)])
+def test_bernstein_bound_refuses_non_finite(sigma, a):
+    # a NaN bound compares false against every empirical tail
+    with pytest.raises(ValueError, match="finite"):
+        bernstein_bound(sigma, a)
+
+
 def test_monte_carlo_bernstein_rademacher():
     report = monte_carlo_bernstein(100, {"kind": "rademacher"}, [30, 101], 20000, 5)
     assert report.sigma == 100.0

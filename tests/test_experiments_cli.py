@@ -65,6 +65,8 @@ BAD_VALUES = {
     "source": {"kind": "integers"},
     "schedule": {"kind": "linear_blocks", "ells": [1]},
     "scan_points": ["x/y"],
+    "seed": False,
+    "psi_fractions": [True],
 }
 
 
@@ -73,6 +75,27 @@ def test_config_errors_name_the_key(key):
     doc = {**small_block_config().to_json_dict(), key: BAD_VALUES[key]}
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_json_dict(doc)
+
+
+# a config built in Python is held to the same rules as one loaded from JSON
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "x"),
+        ("grid_cap", 2.5),
+        ("compute_psi", "no"),
+        ("label", 3),
+        ("trials", "5"),
+        ("psi_fractions", 0.5),
+        ("thresholds", None),
+        ("trials", True),
+        ("grid_cap", True),
+        ("thresholds", {"psi_decay": True}),
+    ],
+)
+def test_python_built_config_errors_name_the_key(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+        small_block_config(**{key: value})
 
 
 @pytest.mark.parametrize(
@@ -463,6 +486,7 @@ def _set(**changes):
     "edit, argv, kind, env_built",
     [
         pytest.param(_set(trials=0), [], "certify", False, id="zero_trials"),
+        pytest.param(_set(trials=True), [], "certify", False, id="boolean_trials"),
         pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "source"}, [], "certify", False, id="no_source"),
         pytest.param(lambda doc: doc, ["--threads", "-3"], "certify", False, id="negative_threads"),
         pytest.param(lambda doc: [], [], "certify", False, id="not_an_object"),
@@ -534,6 +558,23 @@ def test_config_hashes_and_record_bytes_pinned():
     # the block record holds no FFT output, so its bytes are platform-independent
     payload = canonical_json(run_block_independence(small_block_config()).canonical_payload())
     assert hashlib.sha256(payload.encode()).hexdigest() == SMALL_BLOCK_PAYLOAD_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["select", "--set", "{set}", "--density", "inf"], id="density_inf"),
+        pytest.param(["select", "--set", "{set}", "--density", "nan"], id="density_nan"),
+        pytest.param(["montecarlo", "--mode", "bernstein", "--n", "10", "--a", "inf", "--trials", "10"], id="bernstein_a_inf"),
+        pytest.param(["montecarlo", "--mode", "bernstein", "--n", "10", "--a", "5,nan", "--trials", "10"], id="bernstein_a_nan"),
+    ],
+)
+def test_cli_non_finite_argument_exits_3(tmp_path, capsys, argv):
+    setfile = tmp_path / "ints.lines"
+    setfile.write_text("1\n2\n3\n")
+    code = main([arg.format(set=setfile) for arg in argv])
+    assert code == EXIT_PRECONDITION
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exits_2():

@@ -263,6 +263,36 @@ def test_schedule_json_digest_mismatch():
         DensitySchedule.from_json_dict(doc, generate_primes(400))
 
 
+def _shift_start(doc, k, by):
+    doc["blocks"][k]["start"] += by
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: _shift_start(doc, 5, 3), id="gap_before_block_5"),
+        pytest.param(lambda doc: _shift_start(doc, 0, 1), id="first_start_not_0"),
+        pytest.param(lambda doc: {**doc, "blocks": doc["blocks"][::-1]}, id="blocks_out_of_order"),
+        pytest.param(
+            lambda doc: {**doc, "blocks": doc["blocks"] + [{**doc["blocks"][-1], "start": 31, "size": 16}]}, id="past_the_set"
+        ),
+    ],
+)
+def test_schedule_json_blocks_must_tile(edit):
+    # sigma_at reads each block's start, the densities are laid out by size:
+    # a block list that does not tile a prefix of the set from 0 would let them disagree
+    E = generate_primes(200)
+    D = decompose(E, dyadic_partition(7))
+    sched = blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)])
+    doc = json.loads(sched.to_json())
+    assert sum(b["size"] for b in doc["blocks"]) == 31 < len(E)
+    back = DensitySchedule.from_json_dict(doc, E)
+    assert [back.sigma_at(k) for k in range(len(E) + 1)] == [sum(back.densities[:k], Fraction(0)) for k in range(len(E) + 1)]
+    with pytest.raises(ValueError):
+        DensitySchedule.from_json_dict(edit(doc), E)
+
+
 def test_trial_json_round_trip():
     E = generate_primes(200)
     sched = uniform_schedule(E, Fraction(1, 2))
@@ -295,3 +325,12 @@ def test_trial_bitmap_bits_pinned():
     assert SelectionTrial.from_json_dict(doc, E).selected == trial.selected
     with pytest.raises(ValueError, match="bitmap holds 24 bytes"):
         SelectionTrial.from_json_dict({**doc, "bits_hex": doc["bits_hex"][:-2]}, E)
+
+
+def test_trial_bitmap_padding_bits_refused():
+    # 196 elements use the low 4 bits of the last byte; a set bit above them names no element
+    E = generate_primes(1200)
+    doc = select(E, uniform_schedule(E, Fraction(1, 3)), 2024).to_bitmap_json_dict(E)
+    assert doc["bits_hex"].endswith("02")
+    with pytest.raises(ValueError, match="padding"):
+        SelectionTrial.from_json_dict({**doc, "bits_hex": doc["bits_hex"][:-2] + "12"}, E)
