@@ -1,4 +1,4 @@
-"""Shared numeric helpers: bignum logarithms, canonical JSON, confidence intervals."""
+"""Shared helpers: bignum logarithms, canonical JSON, JSON key checks, confidence intervals."""
 
 from __future__ import annotations
 
@@ -47,3 +47,18 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON used for hashing and golden comparisons."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def check_keys(doc: dict, required, known=None, prefix: str = "", context: str = "") -> None:
+    """Refuse a JSON document that is not an object, lacks a required key or,
+    when `known` is given, holds a key outside it; each key is named as
+    prefix + key."""
+    if type(doc) is not dict:
+        raise ValueError(f"expected a JSON object{context}, got {type(doc).__name__}")
+    missing = [f"{prefix}{key}" for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}{context}")
+    if known is not None:
+        unknown = sorted(f"{prefix}{key}" for key in set(doc) - set(known))
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(unknown)}{context}")

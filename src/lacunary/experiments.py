@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
-from ._util import canonical_json, ln_int, wilson_interval
+from ._util import canonical_json, check_keys, ln_int, wilson_interval
 from .equidistribution import (
     DEFAULT_GRID_CAP,
     CirclePoint,
@@ -110,15 +110,6 @@ def _check(key: str, value, rule: tuple) -> None:
         raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
 
 
-def _check_keys(doc: dict, required, known, prefix: str = "", context: str = "") -> None:
-    missing = [f"{prefix}{key}" for key in required if key not in doc]
-    if missing:
-        raise ValueError(f"config lacks {', '.join(missing)}{context}")
-    unknown = sorted(f"{prefix}{key}" for key in set(doc) - set(known))
-    if unknown:
-        raise ValueError(f"unknown config key(s) {', '.join(unknown)}{context}")
-
-
 # -- builders: one table per config object, keyed by its "kind" ----------------
 
 
@@ -168,7 +159,7 @@ def _builder(table: dict, what: str, spec: dict):
     _check(f"{what}.kind", kind, (f"one of {', '.join(table)}", lambda v: type(v) is str and v in table))
     required, optional, build = table[kind]
     rules = {**required, **optional}
-    _check_keys(spec, required, {"kind", *rules}, f"{what}.", f" for {what} kind {kind!r}")
+    check_keys(spec, required, {"kind", *rules}, f"{what}.", f" for {what} kind {kind!r}")
     for key, rule in rules.items():
         if key in spec:
             _check(f"{what}.{key}", spec[key], rule)
@@ -245,10 +236,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        if type(doc) is not dict:
-            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
-        _check_keys(doc, required, [f.name for f in fields(cls)])
+        check_keys(doc, required, [f.name for f in fields(cls)], context=" in config")
         return cls(**{key: tuple(v) if type(v) is list else v for key, v in doc.items()})
 
     @classmethod

@@ -14,12 +14,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, groupby
+from itertools import compress, groupby, repeat
 from typing import Sequence
 
 import numpy as np
 
-from ._util import ln_int, wilson_interval
+from ._util import check_keys, ln_int, wilson_interval
 from .integer_sets import IntegerSet
 from .partitions import BlockDecomposition
 from .relations import dependence_probability_bound, is_s_independent
@@ -79,22 +79,22 @@ class DensitySchedule:
     blocks: tuple[BlockDensity, ...] | None = None
     kind: str = "custom"
     diagnostics: dict | None = field(default=None, compare=False)
+    segments: tuple[tuple[int, int, Fraction], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.elements) != len(self.densities):
             raise ValueError("schedule entries must align one density per element")
-        # schedules are long but carry few distinct densities; validate each
-        # distinct value once
-        cache: dict[int, Fraction] = {}
-        dens = []
-        for d in self.densities:
-            key = id(d)
-            got = cache.get(key)
-            if got is None:
-                got = _as_density(d)
-                cache[key] = got
-            dens.append(got)
+        # every schedule is piecewise constant: each run of one shared density
+        # object is a (start, size, delta) segment, its delta checked once
+        segments: list[tuple[int, int, Fraction]] = []
+        dens: list[Fraction] = []
+        for _, run in groupby(self.densities, key=id):
+            run = list(run)
+            delta = _as_density(run[0])
+            segments.append((len(dens), len(run), delta))
+            dens.extend(repeat(delta, len(run)))
         object.__setattr__(self, "densities", tuple(dens))
+        object.__setattr__(self, "segments", tuple(segments))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -103,29 +103,17 @@ class DensitySchedule:
         """Exact partial sum of the first k densities."""
         if not 0 <= k <= len(self.elements):
             raise ValueError("sigma index out of range")
-        if self.blocks is not None:
-            total = Fraction(0)
-            for blk in self.blocks:
-                stop = blk.start + blk.size
-                if k >= stop:
-                    total += Fraction(blk.ell)
-                elif k > blk.start:
-                    total += (k - blk.start) * blk.delta
-                else:
-                    break
-            return total
-        return sum(self.densities[:k], Fraction(0))
+        total = Fraction(0)
+        for start, size, delta in self.segments:
+            if start >= k:
+                break
+            total += min(size, k - start) * delta
+        return total
 
     def density_floats(self) -> np.ndarray:
-        """float(delta_j) for every element, converting each run of one shared
-        density object once: blockwise schedules repeat a single Fraction per
-        block."""
-        values, counts = [], []
-        for _, run in groupby(self.densities, key=id):
-            run = tuple(run)
-            values.append(float(run[0]))
-            counts.append(len(run))
-        return np.repeat(np.array(values, dtype=np.float64), counts)
+        """float(delta_j) for every element, one conversion per segment."""
+        values = np.array([float(delta) for _, _, delta in self.segments], dtype=np.float64)
+        return np.repeat(values, np.array([size for _, size, _ in self.segments], dtype=np.int64))
 
     def sigma_float(self) -> np.ndarray:
         """Approximate partial sums sigma_1..sigma_K for diagnostics."""
@@ -173,6 +161,8 @@ class DensitySchedule:
     def from_json_dict(cls, doc: dict, E: IntegerSet | None = None) -> "DensitySchedule":
         blocks = None
         if "blocks" in doc:
+            for i, b in enumerate(doc["blocks"]):
+                check_keys(b, ("k", "ell", "size", "delta", "start"), prefix=f"blocks[{i}].", context=" in schedule JSON")
             blocks = tuple(
                 BlockDensity(b["k"], b["ell"], b["size"], Fraction(b["delta"]), b["start"]) for b in doc["blocks"]
             )
@@ -180,16 +170,21 @@ class DensitySchedule:
             elements = tuple(int(n) for n, _ in doc["entries"])
             densities = tuple(Fraction(d) for _, d in doc["entries"])
         else:
+            check_keys(doc, ("elements_sha256", "blocks"), context=" in schedule JSON")
             if E is None:
                 raise ValueError("block-form schedule JSON needs the source set to realign")
             if _digest(E.elements) != doc["elements_sha256"]:
                 raise ValueError("schedule does not match this set (digest mismatch)")
             elements = E.elements
-            # sigma_at reads the starts, so the blocks must tile a prefix of E in order
+            # block_counts and the per-block sigma read each block's start and
+            # ell, the densities are laid out by size and delta: the blocks must
+            # tile a prefix of E in order, each with ell = delta * size
             densities_list: list[Fraction] = []
             for b in blocks:
                 if b.start != len(densities_list) or b.size < 0:
                     raise ValueError(f"schedule block {b.k} (start {b.start}, size {b.size}) breaks the tiling from 0")
+                if b.ell != b.delta * b.size:
+                    raise ValueError(f"schedule block {b.k} has ell {b.ell}, not delta * size = {b.delta * b.size}")
                 densities_list.extend([b.delta] * b.size)
             # blocks past the end of E leave densities longer than elements, which cls refuses
             densities = tuple(densities_list + [Fraction(0)] * (len(elements) - len(densities_list)))
@@ -200,11 +195,8 @@ class DensitySchedule:
 
 
 def _digest(elements: Sequence[int]) -> str:
-    h = hashlib.sha256()
-    for n in elements:
-        h.update(str(n).encode())
-        h.update(b"\n")
-    return h.hexdigest()
+    """sha256 of the elements in decimal, one per line."""
+    return hashlib.sha256("".join(f"{n}\n" for n in elements).encode()).hexdigest()
 
 
 def uniform_schedule(E: IntegerSet, delta) -> DensitySchedule:
@@ -237,8 +229,9 @@ class SelectionTrial:
 
     @classmethod
     def from_json_dict(cls, doc: dict, E: IntegerSet | None = None) -> "SelectionTrial":
-        if doc.get("format") == "bitmap":
+        if type(doc) is dict and doc.get("format") == "bitmap":
             return cls.from_bitmap_json_dict(doc, E)
+        check_keys(doc, ("seed", "selected"), context=" in trial JSON")
         return cls(
             seed=doc["seed"],
             selected=IntegerSet.from_iterable((int(s) for s in doc["selected"]), "selected"),
@@ -262,6 +255,7 @@ class SelectionTrial:
 
     @classmethod
     def from_bitmap_json_dict(cls, doc: dict, E: IntegerSet | None) -> "SelectionTrial":
+        check_keys(doc, ("seed", "source_size", "elements_sha256", "bits_hex"), context=" in bitmap trial JSON")
         if E is None:
             raise ValueError("bitmap trial JSON needs the source set to decode")
         if _digest(E.elements) != doc["elements_sha256"]:

@@ -530,6 +530,50 @@ def test_cli_pipeline_bad_input_exits_3(tmp_path, capsys, monkeypatch, edit, arg
     assert len(builds) == int(env_built)
 
 
+def _drop_block_k(doc):
+    del doc["blocks"][1]["k"]
+    return doc
+
+
+_SELECT = ["select", "--set", "{set}", "--schedule", "{schedule}"]
+_PSI = ["psi", "--set", "{set}", "--schedule", "{schedule}", "--trial", "{trial}"]
+_DIGEST_ONLY = {
+    "schedule": lambda doc: {"elements_sha256": doc["elements_sha256"]},
+    "trial": lambda doc: {"format": "bitmap", "elements_sha256": doc["elements_sha256"]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, broken, edit, key",
+    [
+        pytest.param(_SELECT, "schedule", lambda doc: {}, "elements_sha256", id="select_schedule_empty"),
+        pytest.param(_SELECT, "schedule", _drop_block_k, "blocks[1].k", id="select_schedule_block_without_k"),
+        pytest.param(_SELECT, "schedule", _DIGEST_ONLY["schedule"], "blocks", id="select_schedule_digest_only"),
+        pytest.param(_PSI, "schedule", lambda doc: {}, "elements_sha256", id="psi_schedule_empty"),
+        pytest.param(_PSI, "schedule", _drop_block_k, "blocks[1].k", id="psi_schedule_block_without_k"),
+        pytest.param(_PSI, "schedule", _DIGEST_ONLY["schedule"], "blocks", id="psi_schedule_digest_only"),
+        pytest.param(_PSI, "trial", lambda doc: {}, "seed", id="psi_trial_empty"),
+        pytest.param(_PSI, "trial", _DIGEST_ONLY["trial"], "bits_hex", id="psi_trial_digest_only"),
+    ],
+)
+def test_cli_json_missing_key_exits_3(tmp_path, capsys, argv, broken, edit, key):
+    from lacunary import blockwise_schedule, decompose, dyadic_partition, generate_primes, select
+
+    E = generate_primes(200)
+    D = decompose(E, dyadic_partition(7))
+    sched = blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)])
+    docs = {"schedule": sched.to_json_dict(), "trial": select(E, sched, 5).to_bitmap_json_dict(E)}
+    docs[broken] = edit(docs[broken])
+    paths = {name: tmp_path / f"{name}.json" for name in ("set", "schedule", "trial")}
+    paths["set"].write_text(E.to_json())
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+    code = main([arg.format(**paths) for arg in argv])
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

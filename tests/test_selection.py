@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lacunary import (
     DensitySchedule,
@@ -268,6 +271,11 @@ def _shift_start(doc, k, by):
     return doc
 
 
+def _add_ell(doc, k, by):
+    doc["blocks"][k]["ell"] += by
+    return doc
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -277,11 +285,13 @@ def _shift_start(doc, k, by):
         pytest.param(
             lambda doc: {**doc, "blocks": doc["blocks"] + [{**doc["blocks"][-1], "start": 31, "size": 16}]}, id="past_the_set"
         ),
+        pytest.param(lambda doc: _add_ell(doc, 5, 2), id="ell_not_delta_times_size"),
     ],
 )
 def test_schedule_json_blocks_must_tile(edit):
-    # sigma_at reads each block's start, the densities are laid out by size:
-    # a block list that does not tile a prefix of the set from 0 would let them disagree
+    # block_counts and the per-block sigma read each block's start and ell, the
+    # densities are laid out by size and delta: a block list that does not tile
+    # a prefix of the set from 0, or whose ell is not delta * size, would let them disagree
     E = generate_primes(200)
     D = decompose(E, dyadic_partition(7))
     sched = blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)])
@@ -291,6 +301,52 @@ def test_schedule_json_blocks_must_tile(edit):
     assert [back.sigma_at(k) for k in range(len(E) + 1)] == [sum(back.densities[:k], Fraction(0)) for k in range(len(E) + 1)]
     with pytest.raises(ValueError):
         DensitySchedule.from_json_dict(edit(doc), E)
+
+
+def test_elements_digest_pinned():
+    # sha256 of the decimal elements, one per line, in the set's (|n|, n) order
+    E = IntegerSet.from_iterable([3, -1, 2, 1, -3, 0], "ties")
+    assert E.elements == (0, -1, 1, 2, -3, 3)
+    expected = hashlib.sha256(b"0\n-1\n1\n2\n-3\n3\n").hexdigest()
+    assert uniform_schedule(E, 0).to_json_dict()["elements_sha256"] == expected
+    assert select(E, uniform_schedule(E, 1), 0).to_bitmap_json_dict(E)["elements_sha256"] == expected
+
+
+_DENSITY = st.one_of(st.sampled_from([0, 1, Fraction(0), Fraction(1)]), st.fractions(0, 1, max_denominator=60))
+
+
+@st.composite
+def _per_element_schedules(draw):
+    # runs of one shared object next to equal but distinct Fractions
+    pool = draw(st.lists(_DENSITY, min_size=1, max_size=5))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), max_size=40))
+    densities = tuple(Fraction(pool[i]) if copy else pool[i] for i, copy in picks)
+    return DensitySchedule(tuple(range(1, len(densities) + 1)), densities)
+
+
+@st.composite
+def _blockwise_schedules(draw):
+    # sparse sets leave some dyadic blocks empty, and k_max below the largest
+    # element leaves a remainder
+    E = IntegerSet.from_iterable(draw(st.sets(st.integers(-300, 300), max_size=60)), "drawn")
+    D = decompose(E, dyadic_partition(draw(st.integers(1, 10))))
+    return blockwise_schedule(D, [draw(st.integers(0, len(blk))) for blk in D.blocks])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_per_element_schedules(), _blockwise_schedules()))
+def test_segments_are_the_densities(sched):
+    n = len(sched)
+    assert [sched.sigma_at(k) for k in range(n + 1)] == [sum(sched.densities[:k], Fraction(0)) for k in range(n + 1)]
+    floats = sched.density_floats()
+    assert floats.dtype == np.float64
+    assert floats.tolist() == [float(d) for d in sched.densities]
+    covered = 0
+    for start, size, delta in sched.segments:
+        assert start == covered and size >= 1
+        assert all(d == delta for d in sched.densities[start : start + size])
+        covered += size
+    assert covered == n
 
 
 def test_trial_json_round_trip():
