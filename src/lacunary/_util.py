@@ -1,10 +1,12 @@
-"""Shared helpers: bignum logarithms, canonical JSON, JSON key checks, confidence intervals."""
+"""Shared helpers: bignum logarithms, canonical JSON, JSON key and value checks, confidence intervals."""
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+import reprlib
+from functools import partial
+from typing import Any, Callable
 
 # z quantile for a two-sided 99% interval
 Z_99 = 2.5758293035489004
@@ -62,3 +64,30 @@ def check_keys(doc: dict, required, known=None, prefix: str = "", context: str =
         unknown = sorted(f"{prefix}{key}" for key in set(doc) - set(known))
         if unknown:
             raise ValueError(f"unknown key(s) {', '.join(unknown)}{context}")
+
+
+def json_int(value) -> int:
+    """A JSON integer, or a decimal string as big integers are written; a
+    bool or a float is refused."""
+    if type(value) not in (int, str):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def json_list(value, item: Callable = lambda v: v) -> list:
+    """A JSON array, each entry passed through `item`."""
+    if type(value) is not list:
+        raise TypeError(f"not a list: {value!r}")
+    return [item(v) for v in value]
+
+
+json_ints = partial(json_list, item=json_int)
+
+
+def read_json(doc: dict, key: str, convert: Callable, what: str, context: str = "", name: str | None = None):
+    """convert(doc[key]), refused with a ValueError naming the key (as `name`
+    when given) when the value is not `what`."""
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValueError(f"key {name or key!r}{context} must be {what}, got {reprlib.repr(doc[key])}") from None

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -23,8 +24,11 @@ from .integer_sets import INT64_SAFE, IntegerSet
 from .selection import DensitySchedule, SelectionTrial
 
 DEFAULT_GRID_CAP = 1 << 20
-DEFAULT_EXCLUSION_DENOMINATOR = 16
-DEFAULT_EXCLUSION_RADIUS_SCALE = 0.05
+# the exclusion set: every a/q with q <= EXCLUSION_DENOMINATOR, and at prefix
+# length k every point within EXCLUSION_RADIUS_SCALE / k of one
+EXCLUSION_DENOMINATOR = 16
+EXCLUSION_RADIUS_SCALE = 0.05
+_EXCLUSION_JSON = {"denominator_cap": EXCLUSION_DENOMINATOR, "radius_scale": EXCLUSION_RADIUS_SCALE}
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,10 @@ class CirclePoint:
             a, q = -a, -q
         a %= q
         g = gcd(a, q)
-        return cls(kind="rational", a=a // g, q=q // g)
+        a, q = a // g, q // g
+        if q >= 1 << 63:
+            raise ValueError(f"rational circle point {a}/{q}: residues mod q must fit int64, so q < 2^63")
+        return cls(kind="rational", a=a, q=q)
 
     @classmethod
     def angle(cls, theta: float) -> "CirclePoint":
@@ -81,19 +88,23 @@ def _quarter_exact(vals: np.ndarray, residues: np.ndarray, q: int) -> np.ndarray
     return vals
 
 
-def character_values(elements: Sequence[int], point: CirclePoint) -> np.ndarray:
-    """e_n(t) for each n, exact in phase up to one final float rounding."""
+def character_values(E: IntegerSet | Sequence[int], point: CirclePoint, k: int | None = None) -> np.ndarray:
+    """e_n(t) for the first k elements of E (all of them by default), exact in
+    phase up to one final float rounding. A plain sequence is first checked
+    as an IntegerSet: sorted by |n|, negative first on ties."""
+    if not isinstance(E, IntegerSet):
+        E = IntegerSet(tuple(E))
+    k = len(E) if k is None else k
     if point.kind == "rational":
         a, q = point.a, point.q
-        if elements and max(abs(elements[0]), abs(elements[-1])) * a < INT64_SAFE:
-            arr = np.array(elements, dtype=np.int64)
-            residues = (arr * a) % q
-        else:
-            residues = np.array([(n * a) % q for n in elements], dtype=np.int64)
+        arr = E.array[:k]
+        if k and abs(E.elements[k - 1]) * a >= INT64_SAFE:
+            arr = arr.astype(object)
+        residues = (arr * a % q).astype(np.int64, copy=False)
         vals = np.exp((2j * np.pi / q) * residues)
         return _quarter_exact(vals, residues, q)
     num, den = point.theta.as_integer_ratio()  # den is a power of two
-    fracs = np.array([((n * num) % den) / den for n in elements], dtype=np.float64)
+    fracs = np.fromiter((n * num % den / den for n in islice(E.elements, k)), dtype=np.float64, count=k)
     return np.exp(2j * np.pi * fracs)
 
 
@@ -109,26 +120,18 @@ def rational_points(max_denominator: int) -> list[CirclePoint]:
     return out
 
 
-def nearest_low_rational_distance(turns: float, denominator_cap: int) -> float:
-    """Circular distance to the closest a/q with q <= denominator_cap."""
-    best = 1.0
-    for q in range(1, denominator_cap + 1):
-        frac = (turns * q) % 1.0
-        best = min(best, min(frac, 1.0 - frac) / q)
-    return best
-
-
-def is_excluded(
-    point: CirclePoint,
-    k: int,
-    denominator_cap: int = DEFAULT_EXCLUSION_DENOMINATOR,
-    radius_scale: float = DEFAULT_EXCLUSION_RADIUS_SCALE,
-) -> bool:
+def is_excluded(point: CirclePoint, k: int) -> bool:
     """Exclusion set for weak equidistribution: low rationals, plus a 1/k
     shrinking neighborhood around them."""
-    if point.kind == "rational" and point.q <= denominator_cap:
+    if point.kind == "rational" and point.q <= EXCLUSION_DENOMINATOR:
         return True
-    return nearest_low_rational_distance(point.turns, denominator_cap) < radius_scale / max(k, 1)
+    # circular distance to the closest a/q with q <= EXCLUSION_DENOMINATOR
+    fracs = [(q, point.turns * q % 1.0) for q in range(1, EXCLUSION_DENOMINATOR + 1)]
+    return min(min(f, 1.0 - f) / q for q, f in fracs) < EXCLUSION_RADIUS_SCALE / max(k, 1)
+
+
+def _max_off_exclusion(moduli: Sequence[float], excluded: Sequence[bool]) -> float | None:
+    return max((m for m, ex in zip(moduli, excluded) if not ex), default=None)
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,6 @@ class WeylReport:
     values: tuple[complex, ...]
     excluded: tuple[bool, ...]
     max_off_exclusion: float | None
-    exclusion_denominator: int
-    exclusion_radius_scale: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,45 +150,22 @@ class WeylReport:
             "moduli": [abs(v) for v in self.values],
             "excluded": list(self.excluded),
             "max_off_exclusion": self.max_off_exclusion,
-            "exclusion": {
-                "denominator_cap": self.exclusion_denominator,
-                "radius_scale": self.exclusion_radius_scale,
-            },
+            "exclusion": dict(_EXCLUSION_JSON),
         }
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def weyl_means(
-    E: IntegerSet,
-    k: int,
-    points: Sequence[CirclePoint],
-    exclusion_denominator: int = DEFAULT_EXCLUSION_DENOMINATOR,
-    exclusion_radius_scale: float = DEFAULT_EXCLUSION_RADIUS_SCALE,
-) -> WeylReport:
+def weyl_means(E: IntegerSet, k: int, points: Sequence[CirclePoint]) -> WeylReport:
     """f_k(t) = (1/k) sum of the first k characters, at each point."""
     if not 1 <= k <= len(E):
         raise ValueError("k must satisfy 1 <= k <= |E|")
-    prefix = E.elements[:k]
-    values = []
-    for p in points:
-        # divide in Python: complex / int stays exact for real sums, where
-        # numpy's vectorized complex division would round 49/49 past 1.0
-        values.append(complex(character_values(prefix, p).sum()) / k)
-    excluded = tuple(
-        is_excluded(p, k, exclusion_denominator, exclusion_radius_scale) for p in points
-    )
-    off = [abs(v) for v, ex in zip(values, excluded) if not ex]
-    return WeylReport(
-        k=k,
-        points=tuple(points),
-        values=tuple(values),
-        excluded=excluded,
-        max_off_exclusion=max(off) if off else None,
-        exclusion_denominator=exclusion_denominator,
-        exclusion_radius_scale=exclusion_radius_scale,
-    )
+    # divide in Python: complex / int stays exact for real sums, where
+    # numpy's vectorized complex division would round 49/49 past 1.0
+    values = tuple(complex(character_values(E, p, k).sum()) / k for p in points)
+    excluded = tuple(is_excluded(p, k) for p in points)
+    return WeylReport(k, tuple(points), values, excluded, _max_off_exclusion([abs(v) for v in values], excluded))
 
 
 @dataclass(frozen=True)
@@ -198,8 +176,6 @@ class ScanReport:
     max_off_exclusion: tuple[float | None, ...]
     trend_ratio: float | None  # last max / first max
     decreasing_fraction: float | None
-    exclusion_denominator: int
-    exclusion_radius_scale: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -209,10 +185,7 @@ class ScanReport:
             "max_off_exclusion": list(self.max_off_exclusion),
             "trend_ratio": self.trend_ratio,
             "decreasing_fraction": self.decreasing_fraction,
-            "exclusion": {
-                "denominator_cap": self.exclusion_denominator,
-                "radius_scale": self.exclusion_radius_scale,
-            },
+            "exclusion": dict(_EXCLUSION_JSON),
         }
 
     def to_json(self, indent: int | None = None) -> str:
@@ -225,48 +198,21 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def equidistribution_scan(
-    E: IntegerSet,
-    ks: Sequence[int],
-    points: Sequence[CirclePoint],
-    exclusion_denominator: int = DEFAULT_EXCLUSION_DENOMINATOR,
-    exclusion_radius_scale: float = DEFAULT_EXCLUSION_RADIUS_SCALE,
-) -> ScanReport:
+def equidistribution_scan(E: IntegerSet, ks: Sequence[int], points: Sequence[CirclePoint]) -> ScanReport:
     """Running means |f_k(t)| at checkpoints k, with the per-k maximum taken
     off the exclusion set and a monotone-trend summary."""
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1 or ks[-1] > len(E):
         raise ValueError("checkpoints must lie in 1..|E|")
-    prefix = E.elements[: ks[-1]]
-    moduli_rows: list[tuple[float, ...]] = []
-    per_point_cumsums = [np.cumsum(character_values(prefix, p)) for p in points]
-    for k in ks:
-        moduli_rows.append(tuple(float(abs(cs[k - 1])) / k for cs in per_point_cumsums))
-    maxima: list[float | None] = []
-    for k, row in zip(ks, moduli_rows):
-        off = [
-            m
-            for m, p in zip(row, points)
-            if not is_excluded(p, k, exclusion_denominator, exclusion_radius_scale)
-        ]
-        maxima.append(max(off) if off else None)
+    cumsums = [np.cumsum(character_values(E, p, ks[-1])) for p in points]
+    moduli = tuple(tuple(float(abs(cs[k - 1])) / k for cs in cumsums) for k in ks)
+    maxima = tuple(_max_off_exclusion(row, [is_excluded(p, k) for p in points]) for k, row in zip(ks, moduli))
     defined = [m for m in maxima if m is not None]
-    trend = None
-    decreasing = None
+    trend = decreasing = None
     if len(defined) >= 2:
         trend = defined[-1] / defined[0] if defined[0] > 0 else None
-        steps = [(a, b) for a, b in zip(defined, defined[1:])]
-        decreasing = sum(1 for a, b in steps if b < a) / len(steps)
-    return ScanReport(
-        ks=tuple(ks),
-        points=tuple(points),
-        moduli=tuple(moduli_rows),
-        max_off_exclusion=tuple(maxima),
-        trend_ratio=trend,
-        decreasing_fraction=decreasing,
-        exclusion_denominator=exclusion_denominator,
-        exclusion_radius_scale=exclusion_radius_scale,
-    )
+        decreasing = sum(b < a for a, b in zip(defined, defined[1:])) / (len(defined) - 1)
+    return ScanReport(tuple(ks), tuple(points), moduli, maxima, trend, decreasing)
 
 
 # -- sup norms on root-of-unity grids ----------------------------------------
@@ -391,7 +337,7 @@ def psi(
     sigma_k = schedule.sigma_at(k)
     if sigma_k <= 0:
         raise ValueError("psi undefined: sigma_k = 0")
-    flags = np.fromiter(map(trial.selected.members.__contains__, E.elements[:k]), dtype=bool, count=k)
+    flags = trial.mask(E)[:k]
     count = int(np.count_nonzero(flags))
     if count == 0:
         raise ValueError("psi undefined: empty selection prefix")

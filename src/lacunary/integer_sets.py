@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import ln_int
+from ._util import check_keys, json_ints, ln_int, read_json
 
 INT64_SAFE = 1 << 62  # |n| below this leaves int64 headroom for sums and small multiples
 # classify_growth's verdict margin eta, sample count and fewest usable samples
@@ -92,7 +92,9 @@ class IntegerSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "IntegerSet":
-        return cls.from_iterable((int(s) for s in doc["elements"]), doc.get("label", ""))
+        check_keys(doc, ("elements",), context=" in set JSON")
+        elements = read_json(doc, "elements", json_ints, "a list of integers", " in set JSON")
+        return cls.from_iterable(elements, doc.get("label", ""))
 
     @classmethod
     def from_json(cls, text: str) -> "IntegerSet":

@@ -117,8 +117,8 @@ class BlockDecomposition:
     blocks: tuple[IntegerSet, ...]
     remainder: IntegerSet
 
-    def to_json_dict(self, include_elements: bool = False) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "partition": self.partition.to_json_dict(),
             "source_label": self.source.label,
             "source_size": len(self.source),
@@ -133,11 +133,6 @@ class BlockDecomposition:
             ],
             "remainder_size": len(self.remainder),
         }
-        if include_elements:
-            for k, blk in enumerate(self.blocks):
-                doc["blocks"][k]["elements"] = [str(n) for n in blk.elements]
-            doc["remainder"] = [str(n) for n in self.remainder.elements]
-        return doc
 
 
 def decompose(E: IntegerSet, partition: Partition) -> BlockDecomposition:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import check_keys, ln_int, wilson_interval
+from ._util import check_keys, json_int, json_ints, json_list, ln_int, read_json, wilson_interval
 from .integer_sets import IntegerSet
 from .partitions import BlockDecomposition
 from .relations import dependence_probability_bound, is_s_independent
@@ -159,18 +159,18 @@ class DensitySchedule:
 
     @classmethod
     def from_json_dict(cls, doc: dict, E: IntegerSet | None = None) -> "DensitySchedule":
+        ctx = " in schedule JSON"
+        check_keys(doc, (), context=ctx)
         blocks = None
         if "blocks" in doc:
-            for i, b in enumerate(doc["blocks"]):
-                check_keys(b, ("k", "ell", "size", "delta", "start"), prefix=f"blocks[{i}].", context=" in schedule JSON")
-            blocks = tuple(
-                BlockDensity(b["k"], b["ell"], b["size"], Fraction(b["delta"]), b["start"]) for b in doc["blocks"]
-            )
+            listed = read_json(doc, "blocks", json_list, "a list", ctx)
+            blocks = tuple(_block_density(i, b) for i, b in enumerate(listed))
         if "entries" in doc:
-            elements = tuple(int(n) for n, _ in doc["entries"])
-            densities = tuple(Fraction(d) for _, d in doc["entries"])
+            pairs = read_json(doc, "entries", lambda v: json_list(v, _entry), "a list of [element, density] pairs", ctx)
+            elements = tuple(n for n, _ in pairs)
+            densities = tuple(d for _, d in pairs)
         else:
-            check_keys(doc, ("elements_sha256", "blocks"), context=" in schedule JSON")
+            check_keys(doc, ("elements_sha256", "blocks"), context=ctx)
             if E is None:
                 raise ValueError("block-form schedule JSON needs the source set to realign")
             if _digest(E.elements) != doc["elements_sha256"]:
@@ -192,6 +192,20 @@ class DensitySchedule:
         if E is not None and not sched.aligned_with(E):
             raise ValueError("schedule misaligned with set")
         return sched
+
+
+def _block_density(i: int, b: dict) -> BlockDensity:
+    prefix, ctx = f"blocks[{i}].", " in schedule JSON"
+    check_keys(b, ("k", "ell", "size", "delta", "start"), prefix=prefix, context=ctx)
+    k, ell, size, start = (
+        read_json(b, key, json_int, "an integer", ctx, prefix + key) for key in ("k", "ell", "size", "start")
+    )
+    return BlockDensity(k, ell, size, read_json(b, "delta", Fraction, "a rational", ctx, prefix + "delta"), start)
+
+
+def _entry(pair) -> tuple[int, Fraction]:
+    n, d = json_list(pair)
+    return json_int(n), Fraction(d)
 
 
 def _digest(elements: Sequence[int]) -> str:
@@ -231,18 +245,29 @@ class SelectionTrial:
     def from_json_dict(cls, doc: dict, E: IntegerSet | None = None) -> "SelectionTrial":
         if type(doc) is dict and doc.get("format") == "bitmap":
             return cls.from_bitmap_json_dict(doc, E)
-        check_keys(doc, ("seed", "selected"), context=" in trial JSON")
+        ctx = " in trial JSON"
+        check_keys(doc, ("seed", "selected"), context=ctx)
+        selected = read_json(doc, "selected", json_ints, "a list of integers", ctx)
         return cls(
-            seed=doc["seed"],
-            selected=IntegerSet.from_iterable((int(s) for s in doc["selected"]), "selected"),
-            block_counts=tuple(doc["block_counts"]) if "block_counts" in doc else None,
+            seed=read_json(doc, "seed", json_int, "an integer", ctx),
+            selected=IntegerSet.from_iterable(selected, "selected"),
+            block_counts=tuple(read_json(doc, "block_counts", json_ints, "a list of integers", ctx))
+            if "block_counts" in doc else None,
             source_size=doc.get("source_size", 0),
             source_label=doc.get("source_label", ""),
         )
 
+    def mask(self, E: IntegerSet) -> np.ndarray:
+        """One flag per element of E, set where it is selected; a trial that
+        holds an element outside E is refused."""
+        flags = np.fromiter(map(self.selected.members.__contains__, E.elements), dtype=bool, count=len(E))
+        if np.count_nonzero(flags) != len(self.selected):
+            raise ValueError(f"trial element {next(n for n in self.selected if n not in E)} is outside {E.label!r}")
+        return flags
+
     def to_bitmap_json_dict(self, E: IntegerSet) -> dict:
         """Compact form: one bit per source element, plus the source digest."""
-        flags = np.fromiter(map(self.selected.members.__contains__, E.elements), dtype=bool, count=len(E))
+        flags = self.mask(E)
         return {
             "schema": 1,
             "format": "bitmap",
@@ -255,21 +280,23 @@ class SelectionTrial:
 
     @classmethod
     def from_bitmap_json_dict(cls, doc: dict, E: IntegerSet | None) -> "SelectionTrial":
-        check_keys(doc, ("seed", "source_size", "elements_sha256", "bits_hex"), context=" in bitmap trial JSON")
+        ctx = " in bitmap trial JSON"
+        check_keys(doc, ("seed", "source_size", "elements_sha256", "bits_hex"), context=ctx)
+        seed, source_size = (read_json(doc, key, json_int, "an integer", ctx) for key in ("seed", "source_size"))
         if E is None:
             raise ValueError("bitmap trial JSON needs the source set to decode")
         if _digest(E.elements) != doc["elements_sha256"]:
             raise ValueError("trial does not match this set (digest mismatch)")
-        buf = np.frombuffer(bytes.fromhex(doc["bits_hex"]), dtype=np.uint8)
+        buf = np.frombuffer(read_json(doc, "bits_hex", bytes.fromhex, "a hex string", ctx), dtype=np.uint8)
         if len(buf) != (len(E) + 7) // 8:
             raise ValueError(f"bitmap holds {len(buf)} bytes, the set needs {(len(E) + 7) // 8}")
         if len(E) % 8 and buf[-1] >> (len(E) % 8):
             raise ValueError(f"bitmap sets padding bits past the set's {len(E)} elements")
         picked = tuple(compress(E.elements, np.unpackbits(buf, count=len(E), bitorder="little").tolist()))
         return cls(
-            seed=doc["seed"],
-            selected=IntegerSet(picked, f"{E.label}|seed{doc['seed']}"),
-            source_size=doc["source_size"],
+            seed=seed,
+            selected=IntegerSet(picked, f"{E.label}|seed{seed}"),
+            source_size=source_size,
             source_label=doc.get("source_label", ""),
         )
 

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -29,7 +30,7 @@ from lacunary import (
     uniform_schedule,
     weyl_means,
 )
-from lacunary.equidistribution import grid_values, is_excluded, rational_points
+from lacunary.equidistribution import character_values, grid_values, is_excluded, rational_points
 from lacunary.selection import trial_seed
 
 from _oracles import direct_sup_on_grid
@@ -100,6 +101,24 @@ def test_weyl_bignum_frequencies():
     assert abs(r.values[1]) <= 1 + 1e-12
 
 
+def test_character_values_checks_a_plain_sequence():
+    # the int64 guard reads the largest |n|, which an unordered sequence would hide
+    p = CirclePoint.rational(5, 7)
+    with pytest.raises(ValueError, match="sorted"):
+        character_values((3, 2**61 + 1, 5), p)
+    got = character_values((3, 5, 2**61 + 1), p)
+    want = [cmath.exp(2j * cmath.pi * (n * 5 % 7) / 7) for n in (3, 5, 2**61 + 1)]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(character_values(IntegerSet((3, 5, 2**61 + 1)), p, 2), got[:2])
+
+
+def test_circle_point_residues_must_fit_int64():
+    with pytest.raises(ValueError, match="fit int64"):
+        CirclePoint.parse("1/99999999999999999989")
+    assert CirclePoint.rational(2**70, 2**71).q == 2  # reduced first
+    assert CirclePoint.rational(1, 2**63 - 1).q == 2**63 - 1
+
+
 def test_rational_points_farey_grid():
     pts = rational_points(5)
     labels = {p.label() for p in pts}
@@ -113,7 +132,7 @@ def test_rational_points_farey_grid():
 def test_exclusion_rules():
     assert is_excluded(CirclePoint.rational(1, 2), k=10)
     assert is_excluded(CirclePoint.rational(5, 16), k=10)
-    assert not is_excluded(CirclePoint.rational(1, 27), k=10, radius_scale=0.0)
+    assert not is_excluded(CirclePoint.rational(1, 27), k=10)
     # an angle right next to 1/2 is excluded while the radius covers it
     assert is_excluded(CirclePoint.angle(0.5 + 1e-6), k=10)
     assert not is_excluded(CirclePoint.angle(0.5 + 1e-2), k=1000)
@@ -147,8 +166,8 @@ def test_scan_geometric_stays_large():
         CirclePoint.angle(math.sqrt(2) - 1),
         CirclePoint.angle((math.sqrt(5) - 1) / 2),
     ]
-    scan = equidistribution_scan(E, list(range(1, 21)), pts, exclusion_radius_scale=0.0)
-    assert all(m is not None and m >= 0.2 for m in scan.max_off_exclusion)
+    scan = equidistribution_scan(E, list(range(1, 21)), pts)
+    assert all(max(row) >= 0.2 for row in scan.moduli)
 
 
 def test_scan_csv_output():

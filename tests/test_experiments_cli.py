@@ -504,6 +504,7 @@ def _set(**changes):
         pytest.param(_set(partition={"kind": "dyadic", "base": 3}), [], "certify", False, id="spec_unknown_key"),
         pytest.param(_set(scan_points=["x/y"]), [], "certify", False, id="scan_point_not_a_number"),
         pytest.param(_set(scan_points=["nan"]), [], "certify", False, id="scan_point_nan"),
+        pytest.param(_set(scan_points=["1/99999999999999999989"]), [], "certify", False, id="scan_point_past_int64"),
         pytest.param(_set(schedule={"kind": "uniform", "delta": "1/2"}), [], "certify", False, id="schedule_uniform"),
         pytest.param(_set(schedule={"kind": "power_law", "alpha": 1.0}), [], "certify", False, id="schedule_power_law"),
         pytest.param(_set(source={"kind": "primes", "limit": [1]}), [], "certify", False, id="spec_value_not_an_integer"),
@@ -535,8 +536,14 @@ def _drop_block_k(doc):
     return doc
 
 
+def _zero_block_denominator(doc):
+    doc["blocks"][1]["delta"] = "1/0"
+    return doc
+
+
 _SELECT = ["select", "--set", "{set}", "--schedule", "{schedule}"]
 _PSI = ["psi", "--set", "{set}", "--schedule", "{schedule}", "--trial", "{trial}"]
+_INDEPENDENCE = ["independence", "--set", "{set}", "--s", "2"]
 _DIGEST_ONLY = {
     "schedule": lambda doc: {"elements_sha256": doc["elements_sha256"]},
     "trial": lambda doc: {"format": "bitmap", "elements_sha256": doc["elements_sha256"]},
@@ -554,6 +561,21 @@ _DIGEST_ONLY = {
         pytest.param(_PSI, "schedule", _DIGEST_ONLY["schedule"], "blocks", id="psi_schedule_digest_only"),
         pytest.param(_PSI, "trial", lambda doc: {}, "seed", id="psi_trial_empty"),
         pytest.param(_PSI, "trial", _DIGEST_ONLY["trial"], "bits_hex", id="psi_trial_digest_only"),
+        # values of the wrong JSON shape
+        pytest.param(_SELECT, "schedule", lambda doc: 5, "schedule JSON", id="select_schedule_number"),
+        pytest.param(
+            _SELECT, "schedule", lambda doc: {"elements_sha256": "x", "blocks": 5}, "blocks", id="select_schedule_blocks_number"
+        ),
+        pytest.param(_SELECT, "schedule", lambda doc: {"entries": 5}, "entries", id="select_schedule_entries_number"),
+        pytest.param(_SELECT, "schedule", _zero_block_denominator, "blocks[1].delta", id="select_schedule_delta_over_zero"),
+        pytest.param(_PSI, "trial", lambda doc: {"seed": 1, "selected": 5}, "selected", id="psi_trial_selected_number"),
+        pytest.param(_PSI, "trial", lambda doc: {**doc, "bits_hex": "zz"}, "bits_hex", id="psi_trial_bits_not_hex"),
+        pytest.param(_INDEPENDENCE, "set", lambda doc: {"label": "x"}, "elements", id="independence_set_no_elements"),
+        pytest.param(_INDEPENDENCE, "set", lambda doc: {"elements": 5}, "elements", id="independence_set_elements_number"),
+        pytest.param(
+            _INDEPENDENCE, "set", lambda doc: {"elements": ["1", "x"]}, "elements", id="independence_set_element_not_an_integer"
+        ),
+        pytest.param(_INDEPENDENCE, "set", lambda doc: {"elements": [1.5]}, "elements", id="independence_set_element_a_float"),
     ],
 )
 def test_cli_json_missing_key_exits_3(tmp_path, capsys, argv, broken, edit, key):
@@ -562,16 +584,39 @@ def test_cli_json_missing_key_exits_3(tmp_path, capsys, argv, broken, edit, key)
     E = generate_primes(200)
     D = decompose(E, dyadic_partition(7))
     sched = blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)])
-    docs = {"schedule": sched.to_json_dict(), "trial": select(E, sched, 5).to_bitmap_json_dict(E)}
+    trial = select(E, sched, 5)
+    docs = {"set": E.to_json_dict(), "schedule": sched.to_json_dict(), "trial": trial.to_bitmap_json_dict(E)}
     docs[broken] = edit(docs[broken])
-    paths = {name: tmp_path / f"{name}.json" for name in ("set", "schedule", "trial")}
-    paths["set"].write_text(E.to_json())
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
     for name, doc in docs.items():
         paths[name].write_text(json.dumps(doc))
     code = main([arg.format(**paths) for arg in argv])
     assert code == EXIT_PRECONDITION
     err = capsys.readouterr().err
     assert "error:" in err and key in err
+
+
+def test_cli_psi_refuses_foreign_trial(tmp_path, capsys):
+    # a trial drawn from 1..50, read against the primes <= 200
+    from lacunary import generate_integers, generate_primes, select, uniform_schedule
+
+    E, small = generate_primes(200), generate_integers(50)
+    paths = {name: tmp_path / f"{name}.json" for name in ("set", "schedule", "trial")}
+    paths["set"].write_text(E.to_json())
+    paths["schedule"].write_text(uniform_schedule(E, 0.5).to_json())
+    paths["trial"].write_text(select(small, uniform_schedule(small, 0.5), 3).to_json())
+    code = main(["psi", "--set", str(paths["set"]), "--schedule", str(paths["schedule"]), "--trial", str(paths["trial"])])
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "error:" in err and "outside" in err
+
+
+def test_cli_weyl_point_past_int64_exits_3(tmp_path, capsys):
+    setfile = tmp_path / "set.lines"
+    setfile.write_text("1\n2\n3\n")
+    assert main(["weyl", "--set", str(setfile), "--points", "1/99999999999999999989"]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "error:" in err and "fit int64" in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from lacunary import (
+    CirclePoint,
     IntegerSet,
     Partition,
     PsiPoint,
@@ -16,6 +18,7 @@ from lacunary import (
     decompose,
     distribution_function,
     dyadic_partition,
+    equidistribution_scan,
     generate_geometric,
     generate_integers,
     generate_polynomial,
@@ -24,6 +27,7 @@ from lacunary import (
     is_s_independent,
     psi,
     uniform_schedule,
+    weyl_means,
 )
 from lacunary._util import ln_int
 from lacunary.equidistribution import _grid_values
@@ -267,6 +271,26 @@ def test_int64_boundary_matches_python_references(top):
             a_k=math.sqrt(12.0 * sigma * ln_int(abs(E.elements[k - 1]))),
         )
         assert psi(E, trial, sched, k, cap) == expected
+
+    # Weyl means and scan moduli against term-by-term characters of the exact residues;
+    # n * a stays below INT64_SAFE on the short prefixes and crosses it on the full set
+    points = [
+        CirclePoint.rational(3, 7), CirclePoint.rational(5, 99991), CirclePoint.rational(12345, 2**62 + 7),
+        CirclePoint.angle(0.1234), CirclePoint.angle(math.sqrt(2) - 1),
+    ]
+
+    def character(n, p):
+        num, den = (p.a, p.q) if p.kind == "rational" else p.theta.as_integer_ratio()
+        return cmath.exp(2j * cmath.pi * (n * num % den) / den)
+
+    chars = [[character(n, p) for n in E.elements] for p in points]
+    for k in (1, 4, len(E)):
+        for got, row in zip(weyl_means(E, k, points).values, chars, strict=True):
+            assert abs(got - sum(row[:k]) / k) <= 1e-9
+    ks = (1, 4, 7, len(E))
+    for k, moduli in zip(ks, equidistribution_scan(E, ks, points).moduli, strict=True):
+        for got, row in zip(moduli, chars, strict=True):
+            assert abs(got - abs(sum(row[:k])) / k) <= 1e-9
 
     grouped = relations_grouped(2)
     sparse = IntegerSet.from_iterable([1, 4, 13, -(top - 7), top])

@@ -178,6 +178,5 @@ def test_partition_json_round_trip():
 def test_decomposition_json_counts():
     E = generate_primes(100)
     D = decompose(E, dyadic_partition(7))
-    doc = D.to_json_dict(include_elements=True)
+    doc = D.to_json_dict()
     assert doc["blocks"][3]["set_size"] == len(D.blocks[3])
-    assert doc["blocks"][3]["elements"] == [str(n) for n in D.blocks[3].elements]

@@ -22,6 +22,7 @@ from lacunary import (
     gross_partition,
     mix64,
     monte_carlo_dependence,
+    psi,
     select,
     trial_seed,
     uniform_schedule,
@@ -370,6 +371,25 @@ def test_trial_bitmap_round_trip():
         SelectionTrial.from_json_dict(doc, generate_primes(1000))
     with pytest.raises(ValueError, match="source set"):
         SelectionTrial.from_json_dict(doc)
+
+
+def test_trial_with_foreign_elements_refused():
+    # a trial drawn from 1..50 read against the primes <= 200
+    E = generate_primes(200)
+    sched = uniform_schedule(E, Fraction(1, 2))
+    foreign = select(generate_integers(50), uniform_schedule(generate_integers(50), Fraction(1, 2)), 3)
+    assert not set(foreign.selected) <= set(E)
+    with pytest.raises(ValueError, match="outside"):
+        foreign.to_bitmap_json_dict(E)
+    with pytest.raises(ValueError, match="outside"):
+        psi(E, foreign, sched, len(E))
+    # one element past the end of E counts as foreign too, at any prefix length
+    beyond = SelectionTrial(seed=0, selected=IntegerSet((2, 3, 211)))
+    with pytest.raises(ValueError, match="211 is outside"):
+        psi(E, beyond, sched, 5)
+    inside = SelectionTrial(seed=0, selected=IntegerSet((2, 3, 199)))
+    assert SelectionTrial.from_json_dict(inside.to_bitmap_json_dict(E), E).selected.elements == (2, 3, 199)
+    assert psi(E, inside, sched, 5).selected_count == 2
 
 
 def test_trial_bitmap_bits_pinned():
