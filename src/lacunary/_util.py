@@ -84,6 +84,20 @@ def json_list(value, item: Callable = lambda v: v) -> list:
 json_ints = partial(json_list, item=json_int)
 
 
+def json_distinct_ints(value) -> list[int]:
+    """A JSON array of integers, none repeated."""
+    if len(set(ints := json_ints(value))) != len(ints):
+        raise ValueError(f"repeats an element: {value!r}")
+    return ints
+
+
+def json_str(value) -> str:
+    """A JSON string."""
+    if type(value) is not str:
+        raise TypeError(f"not a string: {value!r}")
+    return value
+
+
 def read_json(doc: dict, key: str, convert: Callable, what: str, context: str = "", name: str | None = None):
     """convert(doc[key]), refused with a ValueError naming the key (as `name`
     when given) when the value is not `what`."""

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import experiments
 from .equidistribution import (
+    DEFAULT_GRID_CAP,
     CirclePoint,
     equidistribution_scan,
     monte_carlo_bernstein,
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--schedule", required=True)
     q.add_argument("--trial", required=True)
     q.add_argument("--k", type=int)
-    q.add_argument("--grid-cap", type=int, default=1 << 20, dest="grid_cap")
+    q.add_argument("--grid-cap", type=int, default=DEFAULT_GRID_CAP, dest="grid_cap")
     q.add_argument("--out-file")
     q.set_defaults(func=_cmd_psi)
 

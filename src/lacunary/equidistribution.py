@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -308,17 +308,7 @@ class PsiPoint:
     a_k: float | None  # (12 sigma_k log|n_k|)^(1/2) decay diagnostic
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "value": self.value,
-            "certified_bound": self.certified_bound,
-            "certified": self.certified,
-            "grid_size": self.grid_size,
-            "cap_active": self.cap_active,
-            "sigma_k": self.sigma_k,
-            "selected_count": self.selected_count,
-            "a_k": self.a_k,
-        }
+        return asdict(self)
 
 
 def psi(

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import check_keys, json_ints, ln_int, read_json
+from ._util import check_keys, json_distinct_ints, json_str, ln_int, read_json
 
 INT64_SAFE = 1 << 62  # |n| below this leaves int64 headroom for sums and small multiples
 # classify_growth's verdict margin eta, sample count and fewest usable samples
@@ -92,9 +92,10 @@ class IntegerSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "IntegerSet":
-        check_keys(doc, ("elements",), context=" in set JSON")
-        elements = read_json(doc, "elements", json_ints, "a list of integers", " in set JSON")
-        return cls.from_iterable(elements, doc.get("label", ""))
+        ctx = " in set JSON"
+        check_keys(doc, ("elements",), context=ctx)
+        elements = read_json(doc, "elements", json_distinct_ints, "a list of distinct integers", ctx)
+        return cls.from_iterable(elements, read_json(doc, "label", json_str, "a string", ctx) if "label" in doc else "")
 
     @classmethod
     def from_json(cls, text: str) -> "IntegerSet":

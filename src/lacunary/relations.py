@@ -4,7 +4,9 @@ counting.
 A relation of length m is an ordered tuple of nonzero integers summing to 0
 with total weight sum(|z_i|) <= 2s; lengths run from 3 to 2s (length 2 is the
 identity relation and is excluded). A set is s-independent when no relation
-vanishes on any tuple of distinct elements. All arithmetic is exact.
+vanishes on any tuple of distinct elements. All arithmetic is exact. The
+search is brute force while perm(n, m - 1) <= DFS_BUDGET, numpy for int64 sets
+at m = 3, 4, then meet in the middle; a witness is the first in its order.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import comb, perm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -190,70 +193,39 @@ class IndependenceReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
+def _distinct_tuples(coeffs: tuple[int, ...], elems: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (sum c_i * q_i, (q_0, ...)) over tuples of distinct elements, one
+    per coefficient, in element order with the last position varying fastest."""
+    *head, c_last = coeffs
+    for prefix in permutations(elems, len(head)):
+        base = sum(c * q for c, q in zip(head, prefix))
+        for q in elems:
+            if q not in prefix:
+                yield base + c_last * q, prefix + (q,)
+
+
 def _dfs_witness(coeffs: tuple[int, ...], elems: tuple[int, ...], members: frozenset) -> tuple[int, ...] | None:
     """Enumerate distinct tuples over all but the last position, solving the
     last coordinate exactly. First witness in element order."""
-    m = len(coeffs)
     last_c = coeffs[-1]
-    chosen: list[int] = []
-    used: set[int] = set()
-
-    def rec(pos: int, total: int) -> tuple[int, ...] | None:
-        if pos == m - 1:
-            if total % last_c == 0:
-                q = -(total // last_c)
-                if q in members and q not in used:
-                    return tuple(chosen) + (q,)
-            return None
-        c = coeffs[pos]
-        for q in elems:
-            if q in used:
-                continue
-            used.add(q)
-            chosen.append(q)
-            hit = rec(pos + 1, total + c * q)
-            if hit is not None:
-                return hit
-            chosen.pop()
-            used.remove(q)
-        return None
-
-    return rec(0, 0)
+    for total, chosen in _distinct_tuples(coeffs[:-1], elems):
+        q = -(total // last_c)
+        if total % last_c == 0 and q in members and q not in chosen:
+            return chosen + (q,)
+    return None
 
 
 def _mitm_witness(coeffs: tuple[int, ...], elems: tuple[int, ...], h: int) -> tuple[int, ...] | None:
     """Hash partial sums of the first h positions, then scan assignments of
     the remaining positions for an exactly cancelling, disjoint partner."""
-    m = len(coeffs)
     table: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-
-    def fill(pos: int, total: int, chosen: tuple[int, ...]) -> None:
-        if pos == h:
-            table[total].append(chosen)
-            return
-        c = coeffs[pos]
-        for q in elems:
-            if q not in chosen:
-                fill(pos + 1, total + c * q, chosen + (q,))
-
-    fill(0, 0, ())
-
-    def scan(pos: int, total: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
-        if pos == m:
-            for left in table.get(-total, ()):
-                if not any(q in chosen for q in left):
-                    return left + chosen
-            return None
-        c = coeffs[pos]
-        for q in elems:
-            if q in chosen:
-                continue
-            hit = scan(pos + 1, total + c * q, chosen + (q,))
-            if hit is not None:
-                return hit
-        return None
-
-    return scan(h, 0, ())
+    for total, left in _distinct_tuples(coeffs[:h], elems):
+        table[total].append(left)
+    for total, right in _distinct_tuples(coeffs[h:], elems):
+        for left in table.get(-total, ()):
+            if not any(q in right for q in left):
+                return left + right
+    return None
 
 
 def _numpy_witness_m3(coeffs: tuple[int, ...], elems: np.ndarray) -> tuple[int, ...] | None:

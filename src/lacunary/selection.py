@@ -19,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import check_keys, json_int, json_ints, json_list, ln_int, read_json, wilson_interval
+from ._util import (
+    check_keys, json_distinct_ints, json_int, json_ints, json_list, json_str, ln_int, read_json, wilson_interval
+)
 from .integer_sets import IntegerSet
 from .partitions import BlockDecomposition
 from .relations import dependence_probability_bound, is_s_independent
@@ -247,14 +249,14 @@ class SelectionTrial:
             return cls.from_bitmap_json_dict(doc, E)
         ctx = " in trial JSON"
         check_keys(doc, ("seed", "selected"), context=ctx)
-        selected = read_json(doc, "selected", json_ints, "a list of integers", ctx)
+        selected = read_json(doc, "selected", json_distinct_ints, "a list of distinct integers", ctx)
         return cls(
             seed=read_json(doc, "seed", json_int, "an integer", ctx),
             selected=IntegerSet.from_iterable(selected, "selected"),
             block_counts=tuple(read_json(doc, "block_counts", json_ints, "a list of integers", ctx))
             if "block_counts" in doc else None,
-            source_size=doc.get("source_size", 0),
-            source_label=doc.get("source_label", ""),
+            source_size=read_json(doc, "source_size", json_int, "an integer", ctx) if "source_size" in doc else 0,
+            source_label=read_json(doc, "source_label", json_str, "a string", ctx) if "source_label" in doc else "",
         )
 
     def mask(self, E: IntegerSet) -> np.ndarray:
@@ -297,7 +299,7 @@ class SelectionTrial:
             seed=seed,
             selected=IntegerSet(picked, f"{E.label}|seed{seed}"),
             source_size=source_size,
-            source_label=doc.get("source_label", ""),
+            source_label=read_json(doc, "source_label", json_str, "a string", ctx) if "source_label" in doc else "",
         )
 
 

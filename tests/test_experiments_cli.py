@@ -576,6 +576,25 @@ _DIGEST_ONLY = {
             _INDEPENDENCE, "set", lambda doc: {"elements": ["1", "x"]}, "elements", id="independence_set_element_not_an_integer"
         ),
         pytest.param(_INDEPENDENCE, "set", lambda doc: {"elements": [1.5]}, "elements", id="independence_set_element_a_float"),
+        pytest.param(
+            _PSI, "trial", lambda doc: {"seed": 1, "selected": ["2", "3"], "source_size": "x"}, "source_size",
+            id="psi_trial_source_size_not_an_integer",
+        ),
+        pytest.param(
+            _PSI, "trial", lambda doc: {"seed": 1, "selected": ["2", "3"], "source_label": 5}, "source_label",
+            id="psi_trial_source_label_a_number",
+        ),
+        pytest.param(
+            _PSI, "trial", lambda doc: {**doc, "source_label": 5}, "source_label", id="psi_bitmap_trial_source_label_a_number"
+        ),
+        pytest.param(
+            _PSI, "trial", lambda doc: {"seed": 1, "selected": ["2", "2", "3"]}, "selected", id="psi_trial_selected_repeats"
+        ),
+        pytest.param(_INDEPENDENCE, "set", lambda doc: {**doc, "label": 7}, "label", id="independence_set_label_a_number"),
+        pytest.param(
+            _INDEPENDENCE, "set", lambda doc: {"label": "x", "elements": ["3", "3", "5"]}, "elements",
+            id="independence_set_elements_repeat",
+        ),
     ],
 )
 def test_cli_json_missing_key_exits_3(tmp_path, capsys, argv, broken, edit, key):

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -227,6 +227,37 @@ def test_search_engines_agree_long_relations():
             dfs = _dfs_witness(rel, elems, members)
             mitm = _mitm_witness(rel, elems, len(rel) // 2)
             assert (dfs is None) == (mitm is None)
+
+
+def _first_vanishing(coeffs, tuples):
+    return next((t for t in tuples if len(set(t)) == len(t) and sum(c * q for c, q in zip(coeffs, t)) == 0), None)
+
+
+def test_search_witness_order_matches_product_enumeration():
+    # brute force reports the first vanishing tuple of distinct elements in
+    # position order; meet in the middle reports the first right part in that
+    # order, joined to the first disjoint left part that cancels it
+    from lacunary.relations import _dfs_witness, _mitm_witness, _search_reps
+
+    rng = random.Random(41)
+    for s, sets in ((2, 90), (3, 30)):
+        for _ in range(sets):
+            span = rng.choice([4, 12, 60, 10**6])
+            E = IntegerSet.from_iterable(rng.sample(range(-span, span + 1), rng.randint(3, 8)))
+            elems = E.elements
+            for coeffs in _search_reps(s):
+                m = len(coeffs)
+                if m > len(elems):
+                    continue
+                assert _dfs_witness(coeffs, elems, E.members) == _first_vanishing(coeffs, product(elems, repeat=m))
+                for h in range(1, m):
+                    want = None
+                    for right in product(elems, repeat=m - h):
+                        if len(set(right)) == len(right):
+                            want = _first_vanishing(coeffs, (left + right for left in product(elems, repeat=h)))
+                            if want is not None:
+                                break
+                    assert _mitm_witness(coeffs, elems, h) == want
 
 
 def test_count_representations_examples():
