@@ -358,13 +358,13 @@ def _trial_rows(
             },
         }
         if psi_ks:
-            psi_vals = {}
+            points = {}
             for k in psi_ks:
                 try:
-                    psi_vals[str(k)] = psi(env.source, trial, env.schedule, k, config.grid_cap).value
+                    points[str(k)] = psi(env.source, trial, env.schedule, k, config.grid_cap)
                 except ValueError:
-                    psi_vals[str(k)] = None
-            row["psi"] = psi_vals
+                    points[str(k)] = None
+            row["psi"] = points
         if t == 0:
             row["selected"] = trial.selected
         out.append(row)
@@ -511,16 +511,24 @@ def run_certification(config: ExperimentConfig, threads: int = 1) -> ExperimentR
     psi_stage: dict = {"checkpoints": ks, "per_trial": []}
     decay_fraction = None
     if config.compute_psi and len(ks) >= 2:
-        decays = usable = 0
+        decays = usable = uncertified = certified_pairs = 0
         for row in rows:
-            psi_stage["per_trial"].append({"trial": row["trial"], "values": row["psi"]})
-            lo_v, hi_v = row["psi"][str(ks[0])], row["psi"][str(ks[-1])]
-            if lo_v is not None and hi_v is not None:
+            points = row["psi"]
+            entry = {"trial": row["trial"]}
+            for key, attr in (("values", "value"), ("grid_sizes", "grid_size"), ("certified", "certified")):
+                entry[key] = {k: None if p is None else getattr(p, attr) for k, p in points.items()}
+            psi_stage["per_trial"].append(entry)
+            uncertified += sum(p is not None and not p.certified for p in points.values())
+            lo_p, hi_p = points[str(ks[0])], points[str(ks[-1])]
+            if lo_p is not None and hi_p is not None:
                 usable += 1
-                decays += hi_v < lo_v
+                decays += hi_p.value < lo_p.value
+                certified_pairs += lo_p.certified and hi_p.certified
         decay_fraction = decays / usable if usable else None
         psi_stage["decay_fraction"] = decay_fraction
         psi_stage["decay_usable_trials"] = usable
+        psi_stage["decay_certified_trials"] = certified_pairs
+        psi_stage["uncertified_values"] = uncertified
         if usable:
             psi_stage["decay_wilson_99"] = list(wilson_interval(decays, usable))
 

@@ -13,7 +13,7 @@ import math
 import operator
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations, compress, islice
 from typing import Iterable, Sequence
@@ -58,6 +58,16 @@ class IntegerSet:
     def array(self) -> np.ndarray:
         # the dtype is always explicit: np.array([2**63]) alone gives uint64
         return np.array(self.elements, dtype=np.int64 if self.max_abs < INT64_SAFE else object)
+
+    def _slice(self, lo: int, hi: int, label: str) -> "IntegerSet":
+        """Elements lo:hi as a set named `label`. A run of a validated set
+        is in order already, so __init__ and its check are skipped; a field
+        added to the class must be set here too."""
+        assert [f.name for f in fields(IntegerSet)] == ["elements", "label"]
+        part = object.__new__(IntegerSet)
+        object.__setattr__(part, "elements", self.elements[lo:hi])
+        object.__setattr__(part, "label", label)
+        return part
 
     @classmethod
     def from_iterable(cls, values: Iterable[int], label: str = "") -> "IntegerSet":

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._util import ln_int
+from ._util import check_keys, json_ints, json_str, ln_int, read_json
 from .integer_sets import IntegerSet
 
 GROSS_RATIO_THRESHOLD = 1.5
@@ -69,7 +69,10 @@ class Partition:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Partition":
-        return cls(tuple(int(s) for s in doc["cut_points"]), doc["kind"])
+        ctx = " in partition JSON"
+        check_keys(doc, ("cut_points", "kind"), context=ctx)
+        cuts = read_json(doc, "cut_points", json_ints, "a list of integers", ctx)
+        return cls(tuple(cuts), read_json(doc, "kind", json_str, "a string", ctx))
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
@@ -140,8 +143,8 @@ def decompose(E: IntegerSet, partition: Partition) -> BlockDecomposition:
     as an explicit remainder rather than an implicit extra block."""
     elems = E.elements
     cuts = [0] + [bisect_right(elems, p, key=abs) for p in partition.cut_points]
-    blocks = tuple(IntegerSet(elems[lo:hi], f"{E.label}|block{k}") for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])))
-    remainder = IntegerSet(elems[cuts[-1] :], f"{E.label}|remainder")
+    blocks = tuple(E._slice(lo, hi, f"{E.label}|block{k}") for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])))
+    remainder = E._slice(cuts[-1], len(E), f"{E.label}|remainder")
     return BlockDecomposition(partition, E, blocks, remainder)
 
 

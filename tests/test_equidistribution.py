@@ -30,7 +30,13 @@ from lacunary import (
     uniform_schedule,
     weyl_means,
 )
-from lacunary.equidistribution import character_values, grid_values, is_excluded, rational_points
+from lacunary.equidistribution import (
+    _fast_grid_size,
+    character_values,
+    grid_values,
+    is_excluded,
+    rational_points,
+)
 from lacunary.selection import trial_seed
 
 from _oracles import direct_sup_on_grid
@@ -291,13 +297,13 @@ def test_psi_matches_direct_mean_difference():
     k = len(E)
     assert 0 < len(trial.selected) < len(E)  # non-degenerate draw
     got = psi(E, trial, sched, k)
-    assert got.grid_size == 4 * 31 and got.certified
+    assert got.grid_size == 125 and got.certified
 
     prefix = E.elements[:k]
     flags = [n in trial.selected for n in prefix]
     count = sum(flags)
     sigma = float(sched.sigma_at(k))
-    M = 4 * 31
+    M = 125
     best = 0.0
     for r in range(M):
         f_sel = sum(
@@ -312,6 +318,57 @@ def test_psi_matches_direct_mean_difference():
         )
         best = max(best, abs(f_sel - f_weighted))
     assert got.value == pytest.approx(best, abs=1e-10)
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fast_grid_size_matches_brute_force():
+    expected = None
+    for n in range(5000, 0, -1):
+        if _is_5_smooth(n):
+            expected = n
+        got = _fast_grid_size(n)
+        assert got >= n and _is_5_smooth(got)
+        assert got == expected  # the smallest such size: none lies in [n, got)
+
+
+def test_psi_grid_certifies_when_4n_is_not_smooth():
+    # psi's smooth grid carries sup_norm_via_grid's certificate (criterion 06)
+    rng = random.Random(606)
+    tested = 0
+    for _ in range(40):
+        E = IntegerSet.from_iterable(rng.sample(range(1, rng.randint(20, 200)), rng.randint(6, 18)))
+        sched = uniform_schedule(E, Fraction(1, 2))
+        trial = select(E, sched, rng.randrange(1 << 30))
+        if not 0 < len(trial.selected) < len(E):
+            continue
+        spectrum = _psi_dict_spectrum(E, trial, sched, len(E))
+        N = max(abs(n) for n in spectrum)
+        if _is_5_smooth(4 * N):
+            continue
+        got = psi(E, trial, sched, len(E))
+        assert got.certified and got.grid_size == _fast_grid_size(4 * N) > 4 * N
+        fine = direct_sup_on_grid(spectrum, 32 * N)
+        assert got.value <= fine + 1e-9
+        assert fine <= 5 * got.value
+        tested += 1
+    assert tested >= 10
+
+
+@pytest.mark.parametrize("cap, certified", [(124, True), (123, False)])
+def test_psi_grid_cap_corner_cases(cap, certified):
+    # 4N = 124 on this set: a cap of 4N still certifies, one point less does not
+    E = IntegerSet.from_iterable([1, 3, 4, 7, 11, 18, 29, 31])
+    sched = uniform_schedule(E, Fraction(1, 2))
+    trial = select(E, sched, 99)
+    got = psi(E, trial, sched, len(E), grid_cap=cap)
+    assert got.grid_size == cap
+    assert got.certified is certified and got.cap_active is not certified
 
 
 def _psi_dict_spectrum(E, trial, sched, k):

@@ -166,6 +166,25 @@ def test_certification_threaded_matches_sequential():
     assert seq.canonical_payload() == par.canonical_payload()
 
 
+def test_certification_records_psi_grids_and_certificates():
+    # 4N at the full prefix is about 65,524: above a 2^15 cap, so that
+    # checkpoint is uncertified in every trial, and the first one is not
+    from lacunary.equidistribution import _fast_grid_size
+
+    cfg = small_cert_config(trials=3, grid_cap=2**15)
+    stage = run_certification(cfg).stages["psi"]
+    first, last = (str(k) for k in stage["checkpoints"])
+    for entry in stage["per_trial"]:
+        assert set(entry["values"]) == set(entry["grid_sizes"]) == set(entry["certified"]) == {first, last}
+        assert all(type(v) is float for v in entry["values"].values())
+        assert entry["certified"] == {first: True, last: False}
+        assert entry["grid_sizes"][last] == 2**15
+        assert entry["grid_sizes"][first] == _fast_grid_size(entry["grid_sizes"][first])  # 5-smooth
+    assert stage["uncertified_values"] == cfg.trials
+    assert stage["decay_certified_trials"] == 0
+    assert stage["decay_usable_trials"] == cfg.trials
+
+
 @pytest.mark.parametrize(
     "run, cfg",
     [

@@ -123,6 +123,23 @@ def test_decompose_negative_elements_split_by_magnitude():
     assert D.blocks[3].elements == (-5, 7)
 
 
+@pytest.mark.parametrize("source", ["primes", "geometric"])
+def test_decompose_blocks_equal_validated_sets(source):
+    # blocks are cut without a second order check; each must equal the set
+    # the validating constructor builds, dtype of its array included
+    if source == "primes":
+        E, P = generate_primes(2**12), dyadic_partition(10)
+    else:
+        E, P = IntegerSet(tuple(3**k for k in range(1, 60)), "3^k"), dyadic_partition(80)
+    D = decompose(E, P)
+    for blk in (*D.blocks, D.remainder):
+        ref = IntegerSet(blk.elements, blk.label)
+        assert blk == ref
+        assert blk.array.dtype == ref.array.dtype and blk.array.tolist() == ref.array.tolist()
+    assert D.blocks[3].label == f"{E.label}|block3" and D.remainder.label == f"{E.label}|remainder"
+    assert sum(map(len, D.blocks)) + len(D.remainder) == len(E)
+
+
 def test_verify_block_growth_full_integers():
     E = generate_integers(2**10)
     D = decompose(E, dyadic_partition(10))
@@ -173,6 +190,21 @@ def test_partition_json_round_trip():
     assert back == P
     doc = P.to_json_dict()
     assert doc["cut_points"][-1] == str(2**120)
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ({}, "cut_points"),
+        ({"kind": "dyadic", "cut_points": 5}, "key 'cut_points'"),
+        ({"kind": 5, "cut_points": ["2"]}, "key 'kind'"),
+        ({"kind": "dyadic", "cut_points": ["x"]}, "key 'cut_points'"),
+    ],
+    ids=["empty", "cuts_not_a_list", "kind_not_a_string", "cut_not_an_integer"],
+)
+def test_partition_json_refusals_name_the_key(doc, names):
+    with pytest.raises(ValueError, match=names):
+        Partition.from_json_dict(doc)
 
 
 def test_decomposition_json_counts():
