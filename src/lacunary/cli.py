@@ -65,7 +65,10 @@ def _load_set(path: str) -> IntegerSet:
 
 
 def _parse_points(text: str) -> list[CirclePoint]:
-    return [CirclePoint.parse(tok) for tok in text.split(",") if tok.strip()]
+    points = [CirclePoint.parse(tok) for tok in text.split(",") if tok.strip()]
+    if not points:
+        raise ValueError("--points names no circle point")
+    return points
 
 
 def _cmd_generate(args) -> int:
@@ -128,7 +131,10 @@ def _cmd_weyl(args) -> int:
     E = _load_set(args.set)
     points = _parse_points(args.points)
     if args.ks:
-        ks = [int(k) for k in args.ks.split(",")]
+        try:
+            ks = [int(k) for k in args.ks.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"--ks: {exc}") from None
         report = equidistribution_scan(E, ks, points)
         _emit(report.to_csv() if args.format == "csv" else report.to_json(indent=2), args.out_file)
     else:

@@ -2,9 +2,11 @@
 Bernstein tail bound, and summing-matrix regularity checks.
 
 Circle points are either exact rationals a/q of a full turn (characters are
-evaluated through bignum residues n*a mod q) or float angles (the phase
-n*theta mod 1 is reduced in exact integer arithmetic before any float
-rounding, so huge frequencies lose no accuracy).
+evaluated through bignum residues n*a mod q) or float angles theta = num/2^b,
+whose phase n*num mod 2^b is exact before one float rounding, so huge
+frequencies lose no accuracy. On an int64 set with b <= 64 the phases are
+the low b bits of a wrapping uint64 product; otherwise each n is reduced to
+its low b bits before a Python multiply.
 """
 
 from __future__ import annotations
@@ -95,16 +97,26 @@ def character_values(E: IntegerSet | Sequence[int], point: CirclePoint, k: int |
     if not isinstance(E, IntegerSet):
         E = IntegerSet(tuple(E))
     k = len(E) if k is None else k
+    if not 0 <= k <= len(E):
+        raise ValueError("k must satisfy 0 <= k <= |E|")
+    arr = E.array[:k]
     if point.kind == "rational":
         a, q = point.a, point.q
-        arr = E.array[:k]
         if k and abs(E.elements[k - 1]) * a >= INT64_SAFE:
             arr = arr.astype(object)
         residues = (arr * a % q).astype(np.int64, copy=False)
         vals = np.exp((2j * np.pi / q) * residues)
         return _quarter_exact(vals, residues, q)
-    num, den = point.theta.as_integer_ratio()  # den is a power of two
-    fracs = np.fromiter((n * num % den / den for n in islice(E.elements, k)), dtype=np.float64, count=k)
+    num, den = point.theta.as_integer_ratio()
+    mask = den - 1  # den = 2^b, so n*num mod den is the low b bits of n*num
+    if arr.dtype == np.int64 and den <= 1 << 64:
+        # the uint64 product wraps mod 2^64, two's complement covers n < 0,
+        # and the float conversion rounds once, as int / int does
+        phases = arr.view(np.uint64) * np.uint64(num) & np.uint64(mask)
+        fracs = phases.astype(np.float64) / float(den)
+    else:
+        # cutting n to its low b bits first keeps each product below 2^(2b)
+        fracs = np.fromiter((((n & mask) * num & mask) / den for n in islice(E.elements, k)), dtype=np.float64, count=k)
     return np.exp(2j * np.pi * fracs)
 
 

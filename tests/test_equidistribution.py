@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lacunary import (
     CirclePoint,
@@ -37,6 +39,7 @@ from lacunary.equidistribution import (
     is_excluded,
     rational_points,
 )
+from lacunary.experiments import DEFAULT_SCAN_POINTS
 from lacunary.selection import trial_seed
 
 from _oracles import direct_sup_on_grid
@@ -116,6 +119,113 @@ def test_character_values_checks_a_plain_sequence():
     want = [cmath.exp(2j * cmath.pi * (n * 5 % 7) / 7) for n in (3, 5, 2**61 + 1)]
     assert np.allclose(got, want, rtol=0, atol=1e-12)
     assert np.array_equal(character_values(IntegerSet((3, 5, 2**61 + 1)), p, 2), got[:2])
+
+
+@pytest.mark.parametrize("point", [CirclePoint.rational(3, 7), CirclePoint.angle(0.1234567)], ids=["rational", "angle"])
+@pytest.mark.parametrize("E", [IntegerSet((1, 2, 3)), IntegerSet((3, 9, 3**50))], ids=["int64", "object"])
+@pytest.mark.parametrize("k", [-1, 4])
+def test_character_values_checks_k(E, point, k):
+    with pytest.raises(ValueError, match=r"0 <= k <= \|E\|"):
+        character_values(E, point, k)
+    assert [len(character_values(E, point, j)) for j in (0, 3)] == [0, 3]
+
+
+_INT64_EDGE = 2**62 - 1  # the widest |n| an IntegerSet keeps in an int64 array
+
+
+def _angle_characters_by_loop(E: IntegerSet, theta: float, k: int) -> np.ndarray:
+    # each phase n*theta mod 1 reduced as a Python int, one rounding in int / int
+    num, den = theta.as_integer_ratio()
+    return np.exp(2j * np.pi * np.array([n * num % den / den for n in E.elements[:k]], dtype=np.float64))
+
+
+@st.composite
+def _character_sets(draw):
+    if draw(st.booleans()):
+        # int64: negative elements, 0 and +-(2^62 - 1) among them
+        edges = draw(st.sets(st.sampled_from((0, _INT64_EDGE, -_INT64_EDGE))))
+        values = edges | draw(st.sets(st.integers(-_INT64_EDGE, _INT64_EDGE), max_size=40))
+    else:
+        # object: powers of 3 up to 3^300, with signed bignums among them
+        values = {3**300} | {3**j for j in draw(st.sets(st.integers(1, 299), max_size=40))}
+        values |= draw(st.sets(st.integers(-(2**200), 2**200), max_size=8))
+    E = IntegerSet.from_iterable(values)
+    return E, draw(st.integers(0, len(E)))
+
+
+_ODD_MANTISSAS = st.integers(0, 2**52 - 1).map(lambda m: 2 * m + 1)
+_THETAS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0, exclude_max=True),  # b <= 64 but for tiny angles
+    _ODD_MANTISSAS.map(lambda m: m / 2**64),  # b = 64
+    st.builds(lambda m, b: m / 2**b, _ODD_MANTISSAS, st.integers(65, 1074)),  # b > 64
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_character_sets(), _THETAS)
+@example((IntegerSet((0, -_INT64_EDGE, _INT64_EDGE)), 3), (2**53 - 1) / 2**64)
+@example((IntegerSet((0, -_INT64_EDGE, _INT64_EDGE)), 3), 1e-9)
+@example((IntegerSet((0, -_INT64_EDGE, _INT64_EDGE)), 3), 0.0)
+@example((generate_geometric(3, 300), 300), 1e-9)
+@example((generate_geometric(3, 300), 300), 0.0)
+def test_angle_characters_match_the_integer_loop(set_and_k, theta):
+    E, k = set_and_k
+    p = CirclePoint.angle(theta)
+    assert np.array_equal(character_values(E, p, k), _angle_characters_by_loop(E, p.theta, k))
+
+
+# SHA-256 of WeylReport and ScanReport JSON, taken when every angle phase was
+# reduced by the integer loop above. They hash np.exp and summation output,
+# so they hold for one numpy build (2.4.6 on x86-64).
+_PINNED_WEYL_SETS = {
+    "squares": lambda: generate_polynomial([0, 0, 1], 100_000),
+    "geometric": lambda: generate_geometric(3, 5000),
+    "primes": lambda: generate_primes(1 << 16),
+}
+_PINNED_WEYL_POINTS = {
+    # four rationals, then angles num/2^b with b = 52, 55, 82 and 64
+    "mixed": ("1/5", "3/7", "5/17", "123/997", "0.41421356237309515", "0.1234567", "1e-09", repr((2**53 - 1) / 2**64)),
+    "default": DEFAULT_SCAN_POINTS,
+}
+_PINNED_WEYL_DIGESTS = {
+    ("squares", "mixed"): (
+        "ff0fb65d491b96561897a95fc89bfea6b825f23f351ebd2de3a00ef34add9c02",
+        "1156b638cd60f931564aebdceb9bbf47b9916d64e49f66a55009d6ff612cccfe",
+    ),
+    ("squares", "default"): (
+        "321aa66bff8917fea0ca0abf2babf62a0a217d14738ebdc60b8024f21b563039",
+        "284678315747d35a85775952a8caa4b25a65dad0f6e4640af57b499deb2d4d01",
+    ),
+    ("geometric", "mixed"): (
+        "dfa41702301dd20eb496d6979283e7cc9665a0aabc16e96928db73c906df035e",
+        "68b48858aa1e476bdd17ce048cca2dbd0fa55f51224702c9ad39b5b058ad84bc",
+    ),
+    ("geometric", "default"): (
+        "ad06ff1cf721a30a78c51a81a5a45cdf97aab155c0516749b611b1ce805f31ff",
+        "d3844fc7257be1d99498d12e35ab69c98b9e003bd237c9bfd0a3eb2a9aa50dd3",
+    ),
+    ("primes", "mixed"): (
+        "95d6d7f6f3826343b593bad9dd820c97a3e80fdefa2395e4fb545c5407731c28",
+        "d54cc6309e91496c879618f69acf6037c592cbef1d19dce4e914d6456b8bdf0e",
+    ),
+    ("primes", "default"): (
+        "e553ef9cbb3fae835f7b6bfebd008ddbe1c2e4784e413e01ae93c6410500296a",
+        "3b3a938f07bf319a36aa1b744cb5b90be0a38a80d3a46e34aae7a494d609bfd9",
+    ),
+}
+
+
+@pytest.mark.parametrize("set_name, points_name", sorted(_PINNED_WEYL_DIGESTS))
+def test_weyl_and_scan_json_pinned(set_name, points_name):
+    E = _PINNED_WEYL_SETS[set_name]()
+    points = [CirclePoint.parse(t) for t in _PINNED_WEYL_POINTS[points_name]]
+    ks = [len(E) * i // 4 for i in range(1, 5)]
+    got = tuple(
+        hashlib.sha256(report.to_json().encode()).hexdigest()
+        for report in (weyl_means(E, len(E), points), equidistribution_scan(E, ks, points))
+    )
+    assert got == _PINNED_WEYL_DIGESTS[set_name, points_name]
 
 
 def test_circle_point_residues_must_fit_int64():

@@ -658,6 +658,22 @@ def test_cli_weyl_point_past_int64_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "extra, option",
+    [
+        pytest.param(["--points", ","], "--points", id="no_points"),
+        pytest.param(["--ks", "3,x"], "--ks", id="ks_not_int"),
+    ],
+)
+def test_cli_weyl_bad_option_exits_3_naming_it(tmp_path, capsys, extra, option):
+    setfile = tmp_path / "set.lines"
+    setfile.write_text("1\n2\n3\n")
+    assert main(["weyl", "--set", str(setfile), *extra]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and option in captured.err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         pytest.param(["independence", "--set", "{dir}", "--s", "2"], id="set_dir"),
