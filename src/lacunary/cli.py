@@ -64,8 +64,17 @@ def _load_set(path: str) -> IntegerSet:
     return IntegerSet.from_lines(text, Path(path).stem)
 
 
+def _parsed(option: str, parse, tokens: list[str]) -> list:
+    """Each token through `parse`; a token it refuses is reported under the
+    option's name."""
+    try:
+        return [parse(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _parse_points(text: str) -> list[CirclePoint]:
-    points = [CirclePoint.parse(tok) for tok in text.split(",") if tok.strip()]
+    points = _parsed("--points", CirclePoint.parse, [tok for tok in text.split(",") if tok.strip()])
     if not points:
         raise ValueError("--points names no circle point")
     return points
@@ -75,7 +84,7 @@ def _cmd_generate(args) -> int:
     if args.primes:
         out = generate_primes(args.limit)
     elif args.polynomial is not None:
-        coeffs = [int(c) for c in args.polynomial.split(",")]
+        coeffs = _parsed("--polynomial", int, args.polynomial.split(","))
         out = generate_polynomial(coeffs, args.k_max)
     elif args.geometric:
         out = generate_geometric(args.base, args.k_max)
@@ -95,7 +104,7 @@ def _cmd_partition(args) -> int:
     if args.kind == "dyadic":
         part = dyadic_partition(args.k_max)
     else:
-        exponents = [int(e) for e in args.exponents.split(",")] if args.exponents else None
+        exponents = _parsed("--exponents", int, args.exponents.split(",")) if args.exponents else None
         part = gross_partition(args.k_max, exponents)
     _emit(part.to_json(indent=2), args.out_file)
     return EXIT_OK
@@ -131,11 +140,7 @@ def _cmd_weyl(args) -> int:
     E = _load_set(args.set)
     points = _parse_points(args.points)
     if args.ks:
-        try:
-            ks = [int(k) for k in args.ks.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"--ks: {exc}") from None
-        report = equidistribution_scan(E, ks, points)
+        report = equidistribution_scan(E, _parsed("--ks", int, args.ks.split(",")), points)
         _emit(report.to_csv() if args.format == "csv" else report.to_json(indent=2), args.out_file)
     else:
         report = weyl_means(E, args.k if args.k is not None else len(E), points)
@@ -165,13 +170,13 @@ def _cmd_montecarlo(args) -> int:
         if args.n is None or args.a is None:
             raise ValueError("bernstein mode needs --n and --a")
         dist: dict = {"kind": "rademacher"}
-        if args.dist.startswith("selector:"):
-            dist = {"kind": "selector", "delta": float(args.dist.split(":", 1)[1])}
-        elif args.dist.startswith("uniform:"):
-            dist = {"kind": "uniform", "half_width": float(args.dist.split(":", 1)[1])}
+        kind, colon, value = args.dist.partition(":")
+        params = {"selector": "delta", "uniform": "half_width"}
+        if colon and kind in params:
+            dist = {"kind": kind, params[kind]: _parsed("--dist", float, [value])[0]}
         elif args.dist != "rademacher":
             raise ValueError(f"unknown distribution {args.dist!r}")
-        a_values = [float(a) for a in args.a.split(",")]
+        a_values = _parsed("--a", float, args.a.split(","))
         report = monte_carlo_bernstein(args.n, dist, a_values, args.trials, args.seed)
         _emit(json.dumps(report.to_json_dict(), indent=2), args.out_file)
         return EXIT_OK if report.all_within_bound else EXIT_FALSIFIED

@@ -4,6 +4,12 @@ append-only JSON records.
 The almost-sure statements behind these experiments are not finitely
 checkable; every record therefore carries frequencies over seeds with Wilson
 intervals, compared against thresholds declared in the config.
+
+A pipeline is a per-block cell, a growth-gate flag and a tuple of stages
+around one trial kernel. `_run` builds the env, runs the trials and tallies
+each block into its cell; a stage is a function (config, env, trial rows,
+block table) -> (stage documents, summary entries), and the record merges
+what each stage returns in order.
 """
 
 from __future__ import annotations
@@ -377,106 +383,114 @@ def _pool_rows(cfg_doc: dict, indices: Sequence[int], psi_ks: Sequence[int]) -> 
     return _trial_rows(config, _build_env(config), indices, psi_ks)
 
 
-# -- pipeline skeleton: prologue, per-block tally, epilogue ---------------------
+# -- pipeline runner ----------------------------------------------------------
 
 
-def _prologue(config: ExperimentConfig, threads: int) -> _Env:
+def _run(pipeline: str, cell, gated: bool, stages: tuple, config: ExperimentConfig, threads: int) -> ExperimentRecord:
+    """Build the env, take the growth gate if `gated`, run the trials, tally
+    each block's dependent count into `cell(dependent_count, bound, trials)`,
+    then let each stage add its documents and summary entries in turn."""
+    start = time.monotonic()
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     env = _build_env(config)
     if config.tail_start >= env.partition.block_count:
         raise ValueError(f"tail_start {config.tail_start} must be below the {env.partition.block_count} blocks")
-    return env
+    docs, summary = {}, {}
+    if gated:
+        growth = classify_growth(env.source)
+        if not growth.is_polynomial:
+            raise GrowthGateError(growth)
+        docs["growth"] = summary["growth"] = growth.to_json_dict()
+    psi_ks = _psi_ks(config, len(env.source)) if config.compute_psi and _psi_stage in stages else ()
+    rows = _fan_out(config, env, threads, psi_ks)
 
-
-def _block_table(config: ExperimentConfig, env: _Env, rows: list[dict], cell) -> list[dict]:
-    """One entry per block: its size, ell and mean selected count over the
-    trials, and per s the cell that `cell(dependent_count, bound)` makes of
-    the block's dependent count and the probability bound."""
+    # one entry per block: its size, ell and mean selected count over the
+    # trials, and per s the cell made of its dependent count and the bound
     table = []
     for k, blk in enumerate(env.schedule.blocks):
         per_s = {}
         for s in config.s_values:
             dep = sum(row["dependent"][str(s)][k] for row in rows)
             bound = dependence_probability_bound(s, blk.ell, blk.size) if blk.size else 0.0
-            per_s[str(s)] = cell(dep, bound)
-        table.append(
-            {
-                "k": k,
-                "size": blk.size,
-                "ell": blk.ell,
-                "mean_selected": sum(row["block_counts"][k] for row in rows) / config.trials,
-                "independence": per_s,
-            }
-        )
-    return table
-
-
-def _epilogue(pipeline: str, config: ExperimentConfig, start: float, stages: dict, summary: dict) -> ExperimentRecord:
-    return ExperimentRecord(
-        pipeline=pipeline,
-        config=config,
-        config_hash=config.hash(),
-        stages=stages,
-        summary=summary,
-        created_utc=_utc_now(),
-        elapsed_seconds=round(time.monotonic() - start, 3),
-    )
+            per_s[str(s)] = cell(dep, bound, config.trials)
+        mean = sum(row["block_counts"][k] for row in rows) / config.trials
+        table.append({"k": k, "size": blk.size, "ell": blk.ell, "mean_selected": mean, "independence": per_s})
+    docs.update(decomposition=env.decomposition.to_json_dict(), schedule=_schedule_stage(env), blocks=table)
+    summary.update(tail_start=config.tail_start, tail_blocks=[b["k"] for b in table[config.tail_start :]])
+    for stage in stages:
+        more_docs, more_summary = stage(config, env, rows, table)
+        docs.update(more_docs)
+        summary.update(more_summary)
+    elapsed = round(time.monotonic() - start, 3)
+    return ExperimentRecord(pipeline, config, config.hash(), docs, summary, _utc_now(), elapsed)
 
 
 # -- block independence pipeline ----------------------------------------------
 
 
-def run_block_independence(config: ExperimentConfig, threads: int = 1) -> ExperimentRecord:
-    """Monte Carlo per-block s-independence frequencies against the
-    probability bound, plus the law-of-large-numbers block-count check."""
-    start = time.monotonic()
-    env = _prologue(config, threads)
-    rows = _fan_out(config, env, threads, psi_ks=())
-    trials = config.trials
+def _dependence_cell(dep: int, bound: float, trials: int) -> dict:
+    freq = dep / trials
+    lo, hi = wilson_interval(dep, trials)
+    return {
+        "dependent_count": dep,
+        "frequency": freq,
+        "wilson_99": [lo, hi],
+        "bound": bound,
+        "below_bound_with_slack": freq <= bound + 3.0 * (hi - lo) / 2.0,
+    }
 
-    def cell(dep: int, bound: float) -> dict:
-        freq = dep / trials
-        lo, hi = wilson_interval(dep, trials)
-        return {
-            "dependent_count": dep,
-            "frequency": freq,
-            "wilson_99": [lo, hi],
-            "bound": bound,
-            "below_bound_with_slack": freq <= bound + 3.0 * (hi - lo) / 2.0,
+
+def _tail_bound_stage(config: ExperimentConfig, env: _Env, rows: list[dict], table: list[dict]) -> tuple[dict, dict]:
+    tail = table[config.tail_start :]
+    per_s = {
+        str(s): {
+            "max_tail_frequency": max(b["independence"][str(s)]["frequency"] for b in tail),
+            "all_tail_below_bound_with_slack": all(b["independence"][str(s)]["below_bound_with_slack"] for b in tail),
         }
+        for s in config.s_values
+    }
+    return {}, {"per_s": per_s}
 
-    blocks_table = _block_table(config, env, rows, cell)
-    for entry, blk in zip(blocks_table, env.schedule.blocks):
-        se = math.sqrt(blk.size * float(blk.delta) * (1.0 - float(blk.delta)) / trials)
+
+def _lln_stage(config: ExperimentConfig, env: _Env, rows: list[dict], table: list[dict]) -> tuple[dict, dict]:
+    """Each block's mean selected count against its ell, within three
+    standard errors of the binomial count; adds the columns to the table."""
+    for entry, blk in zip(table, env.schedule.blocks):
+        se = math.sqrt(blk.size * float(blk.delta) * (1.0 - float(blk.delta)) / config.trials)
         entry["expected_selected"] = blk.ell
         entry["standard_error"] = se
         entry["within_3se"] = abs(entry["mean_selected"] - blk.ell) <= 3.0 * se + 1e-12
+    return {}, {"lln_all_within_3se": all(b["within_3se"] for b in table if b["size"] > 0)}
 
-    tail = blocks_table[config.tail_start :]
-    summary = {
-        "tail_start": config.tail_start,
-        "tail_blocks": [b["k"] for b in tail],
-        "per_s": {
-            str(s): {
-                "max_tail_frequency": max(b["independence"][str(s)]["frequency"] for b in tail),
-                "all_tail_below_bound_with_slack": all(
-                    b["independence"][str(s)]["below_bound_with_slack"] for b in tail
-                ),
-            }
-            for s in config.s_values
-        },
-        "lln_all_within_3se": all(b["within_3se"] for b in blocks_table if b["size"] > 0),
-    }
-    stages = {
-        "decomposition": env.decomposition.to_json_dict(),
-        "schedule": _schedule_stage(env),
-        "blocks": blocks_table,
-    }
-    return _epilogue("block_independence", config, start, stages, summary)
+
+def run_block_independence(config: ExperimentConfig, threads: int = 1) -> ExperimentRecord:
+    """Monte Carlo per-block s-independence frequencies against the
+    probability bound, plus the law-of-large-numbers block-count check."""
+    return _run("block_independence", _dependence_cell, False, (_tail_bound_stage, _lln_stage), config, threads)
 
 
 # -- end-to-end certification pipeline ----------------------------------------
+
+
+def _independence_cell(dep: int, bound: float, trials: int) -> dict:
+    lo, hi = wilson_interval(trials - dep, trials)
+    return {"independent_frequency": 1.0 - dep / trials, "wilson_99": [lo, hi], "bound_on_dependence": bound}
+
+
+def _threshold_stage(config: ExperimentConfig, env: _Env, rows: list[dict], table: list[dict]) -> tuple[dict, dict]:
+    """Block growth over the tail, and each tail block's independent
+    frequency against the tail_independence threshold."""
+    threshold = config.thresholds.get("tail_independence", DEFAULT_THRESHOLDS["tail_independence"])
+    per_s = {}
+    for s in config.s_values:
+        freqs = [b["independence"][str(s)]["independent_frequency"] for b in table[config.tail_start :]]
+        per_s[str(s)] = {
+            "min_tail_independent_frequency": min(freqs),
+            "tail_meets_threshold": all(f >= threshold for f in freqs),
+        }
+    docs = {"block_growth": verify_block_growth(env.decomposition, config.tail_start).to_json_dict()}
+    return docs, {"per_s": per_s, "thresholds": config.thresholds}
 
 
 def _psi_ks(config: ExperimentConfig, size: int) -> list[int]:
@@ -484,91 +498,57 @@ def _psi_ks(config: ExperimentConfig, size: int) -> list[int]:
     return [k for k in ks if k <= size]
 
 
+def _psi_stage(config: ExperimentConfig, env: _Env, rows: list[dict], table: list[dict]) -> tuple[dict, dict]:
+    """Every trial's psi at each checkpoint, and how often psi falls from the
+    first checkpoint to the last. Below two checkpoints there is no decay to
+    judge, so the verdict is None, as it is when psi is not computed."""
+    no_verdict = {"psi_decay_fraction": None, "psi_decay_meets_threshold": None}
+    if not config.compute_psi:
+        return {"psi": None}, no_verdict
+    ks = _psi_ks(config, len(env.source))
+    doc: dict = {"checkpoints": ks, "per_trial": []}
+    if not ks:
+        return {"psi": doc}, no_verdict
+    decays = usable = certified_pairs = 0
+    for row in rows:
+        points = row["psi"]
+        entry = {"trial": row["trial"]}
+        for key, attr in (("values", "value"), ("grid_sizes", "grid_size"), ("certified", "certified")):
+            entry[key] = {k: None if p is None else getattr(p, attr) for k, p in points.items()}
+        doc["per_trial"].append(entry)
+        lo_p, hi_p = points[str(ks[0])], points[str(ks[-1])]
+        if lo_p is not None and hi_p is not None:
+            usable += 1
+            decays += hi_p.value < lo_p.value
+            certified_pairs += lo_p.certified and hi_p.certified
+    doc["uncertified_values"] = sum(p is not None and not p.certified for row in rows for p in row["psi"].values())
+    if len(ks) < 2:
+        return {"psi": doc}, no_verdict
+    decay_fraction = decays / usable if usable else None
+    doc.update(decay_fraction=decay_fraction, decay_usable_trials=usable, decay_certified_trials=certified_pairs)
+    if usable:
+        doc["decay_wilson_99"] = list(wilson_interval(decays, usable))
+    threshold = config.thresholds.get("psi_decay", DEFAULT_THRESHOLDS["psi_decay"])
+    meets = decay_fraction is not None and decay_fraction >= threshold
+    return {"psi": doc}, {"psi_decay_fraction": decay_fraction, "psi_decay_meets_threshold": meets}
+
+
+def _scan_stage(config: ExperimentConfig, env: _Env, rows: list[dict], table: list[dict]) -> tuple[dict, dict]:
+    """Weyl means of trial 0's selected set at scan_checkpoints prefixes."""
+    picked = rows[0]["selected"]
+    if not (config.compute_scan and len(picked) >= 1):
+        return {"scan": None}, {}
+    n_cps = config.scan_checkpoints
+    cps = sorted({max(1, math.ceil(len(picked) * (i + 1) / n_cps)) for i in range(n_cps)})
+    points = [CirclePoint.parse(p) for p in config.scan_points]
+    return {"scan": equidistribution_scan(picked, cps, points).to_json_dict()}, {}
+
+
 def run_certification(config: ExperimentConfig, threads: int = 1) -> ExperimentRecord:
     """Growth gate, schedule diagnostics, per-block independence frequencies,
     selection discrepancy decay, and an equidistribution scan of one selected
     subset, in a single record."""
-    start = time.monotonic()
-    env = _prologue(config, threads)
-    growth = classify_growth(env.source)
-    if not growth.is_polynomial:
-        raise GrowthGateError(growth)
-
-    ks = _psi_ks(config, len(env.source))
-    rows = _fan_out(config, env, threads, psi_ks=ks if config.compute_psi else ())
-    trials = config.trials
-
-    def cell(dep: int, bound: float) -> dict:
-        lo, hi = wilson_interval(trials - dep, trials)
-        return {
-            "independent_frequency": 1.0 - dep / trials,
-            "wilson_99": [lo, hi],
-            "bound_on_dependence": bound,
-        }
-
-    blocks_table = _block_table(config, env, rows, cell)
-
-    psi_stage: dict = {"checkpoints": ks, "per_trial": []}
-    decay_fraction = None
-    if config.compute_psi and len(ks) >= 2:
-        decays = usable = uncertified = certified_pairs = 0
-        for row in rows:
-            points = row["psi"]
-            entry = {"trial": row["trial"]}
-            for key, attr in (("values", "value"), ("grid_sizes", "grid_size"), ("certified", "certified")):
-                entry[key] = {k: None if p is None else getattr(p, attr) for k, p in points.items()}
-            psi_stage["per_trial"].append(entry)
-            uncertified += sum(p is not None and not p.certified for p in points.values())
-            lo_p, hi_p = points[str(ks[0])], points[str(ks[-1])]
-            if lo_p is not None and hi_p is not None:
-                usable += 1
-                decays += hi_p.value < lo_p.value
-                certified_pairs += lo_p.certified and hi_p.certified
-        decay_fraction = decays / usable if usable else None
-        psi_stage["decay_fraction"] = decay_fraction
-        psi_stage["decay_usable_trials"] = usable
-        psi_stage["decay_certified_trials"] = certified_pairs
-        psi_stage["uncertified_values"] = uncertified
-        if usable:
-            psi_stage["decay_wilson_99"] = list(wilson_interval(decays, usable))
-
-    scan_stage = None
-    picked = rows[0]["selected"]
-    if config.compute_scan and len(picked) >= 1:
-        n_cps = config.scan_checkpoints
-        cps = sorted({max(1, math.ceil(len(picked) * (i + 1) / n_cps)) for i in range(n_cps)})
-        points = [CirclePoint.parse(p) for p in config.scan_points]
-        scan_stage = equidistribution_scan(picked, cps, points).to_json_dict()
-
-    tail = blocks_table[config.tail_start :]
-    thr = {**DEFAULT_THRESHOLDS, **config.thresholds}
-    per_s_summary = {}
-    for s in config.s_values:
-        freqs = [b["independence"][str(s)]["independent_frequency"] for b in tail]
-        per_s_summary[str(s)] = {
-            "min_tail_independent_frequency": min(freqs),
-            "tail_meets_threshold": all(f >= thr["tail_independence"] for f in freqs),
-        }
-    summary = {
-        "growth": growth.to_json_dict(),
-        "tail_start": config.tail_start,
-        "tail_blocks": [b["k"] for b in tail],
-        "per_s": per_s_summary,
-        "psi_decay_fraction": decay_fraction,
-        "psi_decay_meets_threshold": (decay_fraction is not None and decay_fraction >= thr["psi_decay"])
-        if config.compute_psi else None,
-        "thresholds": config.thresholds,
-    }
-    stages = {
-        "growth": growth.to_json_dict(),
-        "block_growth": verify_block_growth(env.decomposition, config.tail_start).to_json_dict(),
-        "decomposition": env.decomposition.to_json_dict(),
-        "schedule": _schedule_stage(env),
-        "blocks": blocks_table,
-        "psi": psi_stage if config.compute_psi else None,
-        "scan": scan_stage,
-    }
-    return _epilogue("certification", config, start, stages, summary)
+    return _run("certification", _independence_cell, True, (_threshold_stage, _psi_stage, _scan_stage), config, threads)
 
 
 # -- worker fan-out -----------------------------------------------------------

@@ -304,6 +304,21 @@ def test_certification_gross_case_records_factorial_ells():
     assert "sigma_vs_log_cut" in record.stages["schedule"]
 
 
+def test_certification_one_psi_checkpoint_records_values_without_verdict(tmp_path, capsys):
+    cfg = small_cert_config(psi_fractions=(0.5,))
+    record = run_certification(cfg)
+    psi_stage = record.stages["psi"]
+    assert len(psi_stage["checkpoints"]) == 1
+    assert [entry["trial"] for entry in psi_stage["per_trial"]] == list(range(cfg.trials))
+    assert "uncertified_values" in psi_stage and "decay_fraction" not in psi_stage
+    assert record.summary["psi_decay_fraction"] is None
+    assert record.summary["psi_decay_meets_threshold"] is None
+    # with the tail met, one checkpoint leaves nothing falsified
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(small_cert_config(psi_fractions=(0.5,), thresholds={"tail_independence": 0.0}).to_json())
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path), "pipeline", "certify"]) == EXIT_OK
+
+
 def test_certification_growth_gate():
     # 40 powers of 3 still fit the margin at desk scale; 200 do not
     cfg = small_cert_config(source={"kind": "geometric", "base": 3, "k_max": 200})
@@ -662,12 +677,35 @@ def test_cli_weyl_point_past_int64_exits_3(tmp_path, capsys):
     [
         pytest.param(["--points", ","], "--points", id="no_points"),
         pytest.param(["--ks", "3,x"], "--ks", id="ks_not_int"),
+        pytest.param(["--points", "x/y"], "--points", id="points_not_parsable"),
     ],
 )
 def test_cli_weyl_bad_option_exits_3_naming_it(tmp_path, capsys, extra, option):
     setfile = tmp_path / "set.lines"
     setfile.write_text("1\n2\n3\n")
     assert main(["weyl", "--set", str(setfile), *extra]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and option in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        pytest.param(["montecarlo", "--mode", "bernstein", "--n", "10", "--a", "5,x"], "--a", id="a_not_float"),
+        pytest.param(
+            ["montecarlo", "--mode", "bernstein", "--n", "10", "--a", "5", "--dist", "selector:x"], "--dist",
+            id="dist_not_float",
+        ),
+        pytest.param(["generate", "--polynomial", "1,x"], "--polynomial", id="polynomial_not_int"),
+        pytest.param(
+            ["partition", "--kind", "gross", "--k-max", "3", "--exponents", "1,x"], "--exponents",
+            id="exponents_not_int",
+        ),
+    ],
+)
+def test_cli_bad_list_option_exits_3_naming_it(capsys, argv, option):
+    assert main(argv) == EXIT_PRECONDITION
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and option in captured.err
@@ -693,6 +731,7 @@ def test_cli_unreadable_path_exits_3(tmp_path, capsys, argv):
 SMALL_BLOCK_CONFIG_HASH = "04c0cd4d8f2ce7c01b5114452c234afc8d8c274b30eae7c09e7e3ac70e050830"
 SMALL_CERT_CONFIG_HASH = "e876e5e09439158a9d0dc9a6c588d725dca3b101835951a80d03e26149fc53e5"
 SMALL_BLOCK_PAYLOAD_SHA256 = "d172130ef54243ffa9304e0ece9bd94772e5cdaadcf15c2630672f5e0775bd82"
+SMALL_CERT_NO_FFT_PAYLOAD_SHA256 = "f3654fde93114cd5375ddf317d6631938bd9970e6b195de3ea9e444ca30f6978"
 
 
 def test_config_hashes_and_record_bytes_pinned():
@@ -701,6 +740,14 @@ def test_config_hashes_and_record_bytes_pinned():
     # the block record holds no FFT output, so its bytes are platform-independent
     payload = canonical_json(run_block_independence(small_block_config()).canonical_payload())
     assert hashlib.sha256(payload.encode()).hexdigest() == SMALL_BLOCK_PAYLOAD_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_certification_record_bytes_pinned(threads):
+    # without psi and the scan the certification record holds no FFT output
+    cfg = small_cert_config(compute_psi=False, compute_scan=False)
+    payload = canonical_json(run_certification(cfg, threads=threads).canonical_payload())
+    assert hashlib.sha256(payload.encode()).hexdigest() == SMALL_CERT_NO_FFT_PAYLOAD_SHA256
 
 
 @pytest.mark.parametrize(
