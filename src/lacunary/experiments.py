@@ -396,6 +396,9 @@ def _run(pipeline: str, cell, gated: bool, stages: tuple, config: ExperimentConf
     env = _build_env(config)
     if config.tail_start >= env.partition.block_count:
         raise ValueError(f"tail_start {config.tail_start} must be below the {env.partition.block_count} blocks")
+    if not any(env.decomposition.blocks[config.tail_start :]):  # an all-empty tail would pass vacuously
+        last = env.partition.block_count - 1
+        raise ValueError(f"tail blocks {config.tail_start}..{last} hold no element of {env.source.label!r}")
     docs, summary = {}, {}
     if gated:
         growth = classify_growth(env.source)

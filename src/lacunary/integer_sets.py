@@ -59,15 +59,27 @@ class IntegerSet:
         # the dtype is always explicit: np.array([2**63]) alone gives uint64
         return np.array(self.elements, dtype=np.int64 if self.max_abs < INT64_SAFE else object)
 
-    def _slice(self, lo: int, hi: int, label: str) -> "IntegerSet":
-        """Elements lo:hi as a set named `label`. A run of a validated set
-        is in order already, so __init__ and its check are skipped; a field
-        added to the class must be set here too."""
+    def _part(self, elements: tuple[int, ...], label: str) -> "IntegerSet":
+        """`elements`, an in-order subsequence of this validated set, as a set
+        named `label`. The order check of __init__ is skipped; a field added
+        to the class must be set here too."""
         assert [f.name for f in fields(IntegerSet)] == ["elements", "label"]
         part = object.__new__(IntegerSet)
-        object.__setattr__(part, "elements", self.elements[lo:hi])
+        object.__setattr__(part, "elements", elements)
         object.__setattr__(part, "label", label)
         return part
+
+    def positions(self, sub: "IntegerSet") -> np.ndarray:
+        """Index in this set of each element of `sub`, by one sorted search on
+        the key 2|n| + (n > 0), which increases along the (|n|, n) order on int64
+        and object arrays alike. The first element of `sub` not in this set is
+        named in the ValueError that refuses it."""
+        keys, sub_keys = (2 * np.abs(a) + (a > 0) for a in (self.array, sub.array))
+        idx = np.searchsorted(keys, sub_keys)
+        foreign = np.flatnonzero(np.append(keys, -1)[idx] != sub_keys)  # -1: the search ran off the end
+        if len(foreign):
+            raise ValueError(f"trial element {sub.elements[foreign[0]]} is outside {self.label!r}")
+        return idx
 
     @classmethod
     def from_iterable(cls, values: Iterable[int], label: str = "") -> "IntegerSet":

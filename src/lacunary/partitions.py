@@ -143,8 +143,8 @@ def decompose(E: IntegerSet, partition: Partition) -> BlockDecomposition:
     as an explicit remainder rather than an implicit extra block."""
     elems = E.elements
     cuts = [0] + [bisect_right(elems, p, key=abs) for p in partition.cut_points]
-    blocks = tuple(E._slice(lo, hi, f"{E.label}|block{k}") for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])))
-    remainder = E._slice(cuts[-1], len(E), f"{E.label}|remainder")
+    blocks = tuple(E._part(elems[lo:hi], f"{E.label}|block{k}") for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])))
+    remainder = E._part(elems[cuts[-1] :], f"{E.label}|remainder")
     return BlockDecomposition(partition, E, blocks, remainder)
 
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, groupby, repeat
+from itertools import accumulate, compress, groupby, repeat
 from typing import Sequence
 
 import numpy as np
@@ -163,37 +163,39 @@ class DensitySchedule:
     def from_json_dict(cls, doc: dict, E: IntegerSet | None = None) -> "DensitySchedule":
         ctx = " in schedule JSON"
         check_keys(doc, (), context=ctx)
-        blocks = None
-        if "blocks" in doc:
+        kind = doc.get("kind", "custom")
+        if "entries" not in doc:
+            check_keys(doc, ("elements_sha256", "blocks"), context=ctx)
             listed = read_json(doc, "blocks", json_list, "a list", ctx)
             blocks = tuple(_block_density(i, b) for i, b in enumerate(listed))
-        if "entries" in doc:
-            pairs = read_json(doc, "entries", lambda v: json_list(v, _entry), "a list of [element, density] pairs", ctx)
-            elements = tuple(n for n, _ in pairs)
-            densities = tuple(d for _, d in pairs)
-        else:
-            check_keys(doc, ("elements_sha256", "blocks"), context=ctx)
             if E is None:
                 raise ValueError("block-form schedule JSON needs the source set to realign")
             if _digest(E.elements) != doc["elements_sha256"]:
                 raise ValueError("schedule does not match this set (digest mismatch)")
-            elements = E.elements
-            # block_counts and the per-block sigma read each block's start and
-            # ell, the densities are laid out by size and delta: the blocks must
-            # tile a prefix of E in order, each with ell = delta * size
-            densities_list: list[Fraction] = []
-            for b in blocks:
-                if b.start != len(densities_list) or b.size < 0:
-                    raise ValueError(f"schedule block {b.k} (start {b.start}, size {b.size}) breaks the tiling from 0")
-                if b.ell != b.delta * b.size:
-                    raise ValueError(f"schedule block {b.k} has ell {b.ell}, not delta * size = {b.delta * b.size}")
-                densities_list.extend([b.delta] * b.size)
-            # blocks past the end of E leave densities longer than elements, which cls refuses
-            densities = tuple(densities_list + [Fraction(0)] * (len(elements) - len(densities_list)))
-        sched = cls(elements, densities, blocks=blocks, kind=doc.get("kind", "custom"))
+            return cls._from_blocks(E.elements, blocks, kind)
+        if "blocks" in doc:  # every block list goes through _from_blocks, which checks its tiling
+            raise ValueError("schedule JSON holds entries or blocks, not both")
+        pairs = read_json(doc, "entries", lambda v: json_list(v, _entry), "a list of [element, density] pairs", ctx)
+        sched = cls(tuple(n for n, _ in pairs), tuple(d for _, d in pairs), kind=kind)
         if E is not None and not sched.aligned_with(E):
             raise ValueError("schedule misaligned with set")
         return sched
+
+    @classmethod
+    def _from_blocks(cls, elements: tuple, blocks: Sequence[BlockDensity], kind: str, diagnostics=None):
+        """Each block's delta over its span, density 0 past the last. block_counts
+        and the per-block sigma read start and ell, so the blocks must tile a
+        prefix of `elements` in order, each with ell = delta * size."""
+        densities: list[Fraction] = []
+        for b in blocks:
+            if b.start != len(densities) or b.size < 0:
+                raise ValueError(f"schedule block {b.k} (start {b.start}, size {b.size}) breaks the tiling from 0")
+            if b.ell != b.delta * b.size:
+                raise ValueError(f"schedule block {b.k} has ell {b.ell}, not delta * size = {b.delta * b.size}")
+            densities.extend([b.delta] * b.size)
+        # blocks past the end of elements leave densities longer than elements, which cls refuses
+        densities.extend([Fraction(0)] * (len(elements) - len(densities)))
+        return cls(elements, tuple(densities), blocks=tuple(blocks), kind=kind, diagnostics=diagnostics)
 
 
 def _block_density(i: int, b: dict) -> BlockDensity:
@@ -262,9 +264,8 @@ class SelectionTrial:
     def mask(self, E: IntegerSet) -> np.ndarray:
         """One flag per element of E, set where it is selected; a trial that
         holds an element outside E is refused."""
-        flags = np.fromiter(map(self.selected.members.__contains__, E.elements), dtype=bool, count=len(E))
-        if np.count_nonzero(flags) != len(self.selected):
-            raise ValueError(f"trial element {next(n for n in self.selected if n not in E)} is outside {E.label!r}")
+        flags = np.zeros(len(E), dtype=bool)
+        flags[E.positions(self.selected)] = True
         return flags
 
     def to_bitmap_json_dict(self, E: IntegerSet) -> dict:
@@ -297,7 +298,7 @@ class SelectionTrial:
         picked = tuple(compress(E.elements, np.unpackbits(buf, count=len(E), bitorder="little").tolist()))
         return cls(
             seed=seed,
-            selected=IntegerSet(picked, f"{E.label}|seed{seed}"),
+            selected=E._part(picked, f"{E.label}|seed{seed}"),
             source_size=source_size,
             source_label=read_json(doc, "source_label", json_str, "a string", ctx) if "source_label" in doc else "",
         )
@@ -330,13 +331,11 @@ def select(E: IntegerSet, schedule: DensitySchedule, seed: int) -> SelectionTria
     thr_u = np.array([(t - 1) & _MASK64 for t in thresholds], dtype=np.uint64)
     nonzero = np.array([t > 0 for t in thresholds], dtype=bool)
     picked_idx = np.nonzero(nonzero & (words <= thr_u))[0]
-    selected = IntegerSet(tuple(E.elements[int(i)] for i in picked_idx), f"{E.label}|seed{seed}")
+    selected = E._part(tuple(map(E.elements.__getitem__, picked_idx.tolist())), f"{E.label}|seed{seed}")
     block_counts = None
     if schedule.blocks is not None:
-        block_counts = tuple(
-            int(np.count_nonzero((picked_idx >= b.start) & (picked_idx < b.start + b.size)))
-            for b in schedule.blocks
-        )
+        ends = np.searchsorted(picked_idx, [b.start + b.size for b in schedule.blocks])  # they tile a prefix of E
+        block_counts = tuple(np.diff(ends, prepend=0).tolist())
     return SelectionTrial(
         seed=seed,
         selected=selected,
@@ -352,21 +351,19 @@ def blockwise_schedule(D: BlockDecomposition, ells: Sequence[int]) -> DensitySch
     Elements beyond the last cut point (the remainder) get density 0 so the
     schedule stays aligned with the full source set.
     """
+    return DensitySchedule._from_blocks(D.source.elements, _ell_blocks(D, ells), "blockwise")
+
+
+def _ell_blocks(D: BlockDecomposition, ells: Sequence[int]) -> list[BlockDensity]:
+    """Block k of D at density ell_k / |E_k|, 0 on an empty block."""
     if len(ells) != len(D.blocks):
         raise ValueError(f"need one ell per block ({len(D.blocks)}), got {len(ells)}")
-    densities: list[Fraction] = []
     blocks: list[BlockDensity] = []
-    start = 0
-    for k, (blk, ell) in enumerate(zip(D.blocks, ells)):
-        ell = int(ell)
+    for k, (blk, ell, start) in enumerate(zip(D.blocks, map(int, ells), accumulate(map(len, D.blocks), initial=0))):
         if ell < 0 or ell > len(blk):
             raise ValueError(f"block {k}: ell={ell} outside [0, |E_k|={len(blk)}]")
-        delta = Fraction(ell, len(blk)) if len(blk) else Fraction(0)
-        densities.extend([delta] * len(blk))
-        blocks.append(BlockDensity(k=k, ell=ell, size=len(blk), delta=delta, start=start))
-        start += len(blk)
-    densities.extend([Fraction(0)] * len(D.remainder))
-    return DensitySchedule(D.source.elements, tuple(densities), blocks=tuple(blocks), kind="blockwise")
+        blocks.append(BlockDensity(k, ell, len(blk), Fraction(ell, len(blk)) if len(blk) else Fraction(0), start))
+    return blocks
 
 
 def factorial_block_schedule(D: BlockDecomposition) -> DensitySchedule:
@@ -379,7 +376,6 @@ def factorial_block_schedule(D: BlockDecomposition) -> DensitySchedule:
     if D.partition.kind != "gross":
         raise ValueError("factorial block schedule requires a gross-partition decomposition")
     ells = [min(math.factorial(j + 2), len(blk)) for j, blk in enumerate(D.blocks)]
-    sched = blockwise_schedule(D, ells)
     cuts = D.partition.cut_points
     per_block = []
     for j, ell in enumerate(ells):
@@ -390,9 +386,7 @@ def factorial_block_schedule(D: BlockDecomposition) -> DensitySchedule:
             entry["log_ell_over_log_cut"] = (math.log(ell) if ell > 1 else 0.0) / ln_int(cuts[j])
         per_block.append(entry)
     diagnostics = {"schedule": "factorial_cap", "per_block": per_block}
-    return DensitySchedule(
-        sched.elements, sched.densities, blocks=sched.blocks, kind="factorial_cap", diagnostics=diagnostics
-    )
+    return DensitySchedule._from_blocks(D.source.elements, _ell_blocks(D, ells), "factorial_cap", diagnostics)
 
 
 def decreasing_density_schedule(
@@ -523,9 +517,9 @@ def monte_carlo_dependence(E: IntegerSet, ell: int, s: int, trials: int, seed: i
     with the 99% Wilson interval and the probability bound alongside."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 <= ell <= len(E):
-        raise ValueError("ell must satisfy 0 <= ell <= |E|")
-    schedule = uniform_schedule(E, Fraction(ell, len(E)) if len(E) else Fraction(0))
+    # the bound refuses s < 2, an empty E and ell outside [0, |E|] before any trial
+    bound = dependence_probability_bound(s, ell, len(E))
+    schedule = uniform_schedule(E, Fraction(ell, len(E)))
     dependent = 0
     for t in range(trials):
         trial = select(E, schedule, trial_seed(seed, t))
@@ -542,6 +536,6 @@ def monte_carlo_dependence(E: IntegerSet, ell: int, s: int, trials: int, seed: i
         frequency=freq,
         wilson_low=lo,
         wilson_high=hi,
-        bound=dependence_probability_bound(s, ell, len(E)),
+        bound=bound,
         seed=seed,
     )

@@ -546,6 +546,12 @@ def _set(**changes):
         pytest.param(_set(partition={"kind": "dyadic", "k_max": "all"}), [], "certify", False, id="spec_value_not_int_or_auto"),
         pytest.param(_set(tail_start=99), [], "certify", True, id="tail_start_past_blocks_certify"),
         pytest.param(_set(tail_start=99), [], "block-independence", True, id="tail_start_past_blocks_block"),
+        # blocks 15..20 of the primes <= 2^14 and 4..6 of 1..3 hold no element
+        pytest.param(_set(partition={"kind": "dyadic", "k_max": 20}, tail_start=15), [], "certify", True, id="empty_tail_certify"),
+        pytest.param(
+            _set(source={"kind": "integers", "n_max": 3}, partition={"kind": "dyadic", "k_max": 6}, tail_start=4),
+            [], "block-independence", True, id="empty_tail_block",
+        ),
     ],
 )
 def test_cli_pipeline_bad_input_exits_3(tmp_path, capsys, monkeypatch, edit, argv, kind, env_built):

@@ -410,3 +410,85 @@ def test_trial_bitmap_padding_bits_refused():
     assert doc["bits_hex"].endswith("02")
     with pytest.raises(ValueError, match="padding"):
         SelectionTrial.from_json_dict({**doc, "bits_hex": doc["bits_hex"][:-2] + "12"}, E)
+
+
+_SMALL = st.integers(-40, 40)
+_HUGE = st.one_of(st.integers(2**62, 2**70), st.integers(-(2**70), -(2**62)))
+
+
+@st.composite
+def _sets_with_subsets(draw):
+    # small values tie as +-n and hold 0; a huge one makes the source an object array
+    vals = draw(st.sets(_SMALL, max_size=30))
+    vals |= {-v for v in draw(st.sets(st.sampled_from(sorted(vals)), max_size=5))} if vals else set()
+    vals |= draw(st.sets(_HUGE, max_size=2)) if draw(st.booleans()) else set()
+    E = IntegerSet.from_iterable(vals, "E")
+    kept = draw(st.sets(st.sampled_from(E.elements))) if E.elements else set()
+    # foreign elements fall before, inside and past E, huge ones against an int64 E too
+    foreign = draw(st.sets(st.one_of(st.integers(-60, 60), _HUGE).filter(lambda n: n not in vals), max_size=3))
+    return E, IntegerSet.from_iterable(kept | foreign, "sub"), foreign
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sets_with_subsets())
+def test_positions_and_mask_match_membership(case):
+    E, sub, foreign = case
+    trial = SelectionTrial(seed=0, selected=sub)
+    if foreign:
+        first = min(foreign, key=lambda n: (abs(n), n))
+        for call in (lambda: E.positions(sub), lambda: trial.mask(E)):
+            with pytest.raises(ValueError, match=f"^trial element {first} is outside 'E'$"):
+                call()
+    else:
+        assert E.positions(sub).tolist() == [E.elements.index(n) for n in sub]
+        assert trial.mask(E).tolist() == [n in sub.elements for n in E]
+
+
+def _linear_blocks_on(E, k_max):
+    D = decompose(E, dyadic_partition(k_max))
+    return D, blockwise_schedule(D, [min(k, len(blk)) for k, blk in enumerate(D.blocks)])
+
+
+def _factorial_cap_on_squares():
+    D = decompose(generate_polynomial([0, 0, 1], 2048), gross_partition(4))
+    return D, factorial_block_schedule(D)
+
+
+def _round_tripped_linear_blocks():
+    # k_max 10 leaves the primes above 2^10 as a remainder of density 0
+    D, sched = _linear_blocks_on(generate_primes(5000), 10)
+    return D, DensitySchedule.from_json_dict(json.loads(sched.to_json()), D.source)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _linear_blocks_on(generate_primes(2**14), 14), _factorial_cap_on_squares, _round_tripped_linear_blocks],
+    ids=["linear_blocks", "factorial_cap", "block_json_round_trip"],
+)
+def test_block_counts_are_the_selection_split_by_blocks(make):
+    D, sched = make()
+    assert sched.blocks is not None
+    for seed in range(8):
+        trial = select(D.source, sched, seed)
+        assert trial.block_counts == tuple(len(b) for b in decompose(trial.selected, D.partition).blocks)
+
+
+@pytest.mark.parametrize("E, ell, s", [(generate_integers(64), 2, 1), (IntegerSet(()), 0, 2)], ids=["s_1", "empty_set"])
+def test_monte_carlo_dependence_refuses_before_any_trial(monkeypatch, E, ell, s):
+    from lacunary import selection
+
+    calls = []
+    real_select = selection.select
+    monkeypatch.setattr(selection, "select", lambda *args: calls.append(args) or real_select(*args))
+    with pytest.raises(ValueError):
+        monte_carlo_dependence(E, ell, s, 50, 0)
+    assert calls == []
+
+
+def test_schedule_json_entries_beside_blocks_refused():
+    # a block list beside per-element entries would skip the tiling check that block_counts relies on
+    E = generate_integers(20)
+    doc = uniform_schedule(E, Fraction(1, 2)).to_json_dict()
+    doc["blocks"] = [{"k": 0, "ell": 2, "size": 4, "delta": "1/2", "start": 10}]
+    with pytest.raises(ValueError, match="entries or blocks, not both"):
+        DensitySchedule.from_json_dict(doc, E)
