@@ -4,9 +4,14 @@ counting.
 A relation of length m is an ordered tuple of nonzero integers summing to 0
 with total weight sum(|z_i|) <= 2s; lengths run from 3 to 2s (length 2 is the
 identity relation and is excluded). A set is s-independent when no relation
-vanishes on any tuple of distinct elements. All arithmetic is exact. The
-search is brute force while perm(n, m - 1) <= DFS_BUDGET, numpy for int64 sets
-at m = 3, 4, then meet in the middle; a witness is the first in its order.
+vanishes on any tuple of distinct elements. All arithmetic is exact.
+
+One kernel searches for witnesses: it joins a table of inner index tuples to
+a walk over outer ones on residues mod the prime P, and verifies each match
+in exact integers. A witness is the first under one of two orders: the
+lexicographic order on the whole tuple while perm(n, m - 1) <= DFS_BUDGET
+(and for int64 sets at m = 3), else meet in the middle at a split h, whose
+tables stay within MITM_MEMORY_BUDGET and MITM_TIME_BUDGET.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from math import comb, perm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +34,12 @@ DEFAULT_S_MAX = 4
 DFS_BUDGET = 2_000_000
 MITM_MEMORY_BUDGET = 2_000_000
 MITM_TIME_BUDGET = 20_000_000
+
+# witness searches match residues mod this prime: 3 is a primitive root and 2
+# has order (P - 1) / 2 (mod 2^61 - 1, powers of 2 repeat with period 61)
+P = (1 << 63) - 25
+_ROWS = 1 << 14  # outer tuples per chunk, and the most rows of a kept index table
+_BATCH = 1 << 14  # candidate pairs expanded at once
 
 
 class RelationExplosionError(ValueError):
@@ -173,10 +183,9 @@ class IndependenceReport:
     witness_elements: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.independent != (self.witness_relation is None):
+        if not self.independent == (self.witness_relation is None) == (self.witness_elements is None):
             raise ValueError("witness present iff dependent")
         if self.witness_relation is not None:
-            assert self.witness_elements is not None
             if sum(c * q for c, q in zip(self.witness_relation, self.witness_elements)) != 0:
                 raise ValueError("witness does not vanish")
             if len(set(self.witness_elements)) != len(self.witness_elements):
@@ -193,108 +202,131 @@ class IndependenceReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def _distinct_tuples(coeffs: tuple[int, ...], elems: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (sum c_i * q_i, (q_0, ...)) over tuples of distinct elements, one
-    per coefficient, in element order with the last position varying fastest."""
-    *head, c_last = coeffs
-    for prefix in permutations(elems, len(head)):
-        base = sum(c * q for c, q in zip(head, prefix))
-        for q in elems:
-            if q not in prefix:
-                yield base + c_last * q, prefix + (q,)
+def _tuples(n: int, cs: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """Ranks start..stop-1 of the lexicographic table of len(cs)-tuples of distinct
+    indices below n (int32); digit j of a rank, in radix n - j, picks the d-th unused
+    index. Rows falling along a run of equal coefficients go: the sorted run has the
+    same sum and index set and comes first, so no first witness is lost."""
+    out = np.empty((stop - start, len(cs)), dtype=np.int32)
+    rank = np.arange(start, stop, dtype=np.int64)
+    for j in range(len(cs)):
+        d = rank // perm(n - j - 1, len(cs) - j - 1) % (n - j)
+        for used in np.sort(out[:, :j], axis=1).T:
+            d = d + (d >= used)
+        out[:, j] = d
+    rising = [out[:, j - 1] < out[:, j] for j in range(1, len(cs)) if cs[j] == cs[j - 1]]
+    return out[np.logical_and.reduce(rising)] if rising else out
 
 
-def _dfs_witness(coeffs: tuple[int, ...], elems: tuple[int, ...], members: frozenset) -> tuple[int, ...] | None:
-    """Enumerate distinct tuples over all but the last position, solving the
-    last coordinate exactly. First witness in element order."""
-    last_c = coeffs[-1]
-    for total, chosen in _distinct_tuples(coeffs[:-1], elems):
-        q = -(total // last_c)
-        if total % last_c == 0 and q in members and q not in chosen:
-            return chosen + (q,)
+@lru_cache(maxsize=128)
+def _first_tuples(n: int, cs: tuple[int, ...]) -> np.ndarray:
+    """The first _ROWS ranks of the (n, cs) table, kept (read-only) for the next set."""
+    out = _tuples(n, cs, 0, min(perm(n, len(cs)), _ROWS))
+    out.setflags(write=False)
+    return out
+
+
+def _sums(res: dict[int, np.ndarray], coeffs: tuple[int, ...], idx: np.ndarray) -> np.ndarray:
+    """sum_j c_j * q[idx[:, j]] mod P: each sum of two residues fits uint64,
+    and min(t, t - P) takes P off exactly when t >= P."""
+    total = res[coeffs[0]][idx[:, 0]]
+    for c, col in zip(coeffs[1:], idx.T[1:]):
+        total += res[c][col]
+        np.minimum(total, total - P, out=total)
+    return total
+
+
+class _Residues(dict):
+    """c * q mod P for every element q, per coefficient c, built on first use."""
+
+    def __init__(self, elems: Sequence[int]):
+        self.elems = elems
+
+    def __missing__(self, c: int) -> np.ndarray:
+        self[c] = np.array([c * q % P for q in self.elems], dtype=np.uint64)
+        return self[c]
+
+
+def _first_exact(coeffs: tuple[int, ...], elems: Sequence[int], idx: np.ndarray) -> tuple[int, ...] | None:
+    """The first row of index tuples whose elements vanish in exact arithmetic."""
+    for row in idx.tolist():
+        witness = tuple(elems[t] for t in row)
+        if sum(c * q for c, q in zip(coeffs, witness)) == 0:
+            return witness
     return None
 
 
-def _mitm_witness(coeffs: tuple[int, ...], elems: tuple[int, ...], h: int) -> tuple[int, ...] | None:
-    """Hash partial sums of the first h positions, then scan assignments of
-    the remaining positions for an exactly cancelling, disjoint partner."""
-    table: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for total, left in _distinct_tuples(coeffs[:h], elems):
-        table[total].append(left)
-    for total, right in _distinct_tuples(coeffs[h:], elems):
-        for left in table.get(-total, ()):
-            if not any(q in right for q in left):
-                return left + right
+def _join(coeffs: tuple[int, ...], elems: Sequence[int], h: int, lex: bool, res=None) -> tuple[int, ...] | None:
+    """The first vanishing tuple of m <= len(elems) distinct elements under the
+    key (outer indices, inner indices): outer positions are [0, h) when `lex`
+    (0 <= h < m: the lexicographic order), else [h, m) (0 < h < m). Inner
+    residue sums are sorted stably; the outer table is walked in chunks, and
+    the matches of its targets are expanded in batches, cleared of shared
+    indices and verified exactly (a relation vanishes mod P; a match may not)."""
+    outer_c, inner_c = (coeffs[:h], coeffs[h:]) if lex else (coeffs[h:], coeffs[:h])
+    n, rows_in = len(elems), perm(len(elems), len(inner_c))
+    res = _Residues(elems) if res is None else res
+    inner = _first_tuples(n, inner_c) if rows_in <= _ROWS else _tuples(n, inner_c, 0, rows_in)
+    sums = _sums(res, inner_c, inner)
+    if not outer_c:  # the one target is 0, and the table is in order
+        return _first_exact(coeffs, elems, inner[(sums == 0).nonzero()[0]])
+    order = sums.argsort(kind="stable")
+    sums = sums[order]
+    neg, total = tuple(-c for c in outer_c), perm(n, len(outer_c))
+    for start in range(0, total, _ROWS):
+        outer = _first_tuples(n, neg) if start == 0 else _tuples(n, neg, start, min(start + _ROWS, total))
+        target = _sums(res, neg, outer)
+        lo = sums.searchsorted(target)
+        rows = (sums[np.minimum(lo, len(sums) - 1)] == target).nonzero()[0]
+        lo = lo[rows]
+        cnt = sums.searchsorted(target[rows], side="right") - lo
+        ends, matches = cnt.cumsum(), int(cnt.sum())
+        for first in range(0, matches, _BATCH):
+            f = np.arange(first, min(first + _BATCH, matches))
+            r = ends.searchsorted(f, side="right")
+            o, i = outer[rows[r]], inner[order[lo[r] + f - (ends[r] - cnt[r])]]
+            apart = np.logical_and.reduce([a != b for a in o.T for b in i.T])
+            witness = _first_exact(coeffs, elems, np.hstack((o, i) if lex else (i, o))[apart])
+            if witness is not None:
+                return witness
     return None
 
 
-def _numpy_witness_m3(coeffs: tuple[int, ...], elems: np.ndarray) -> tuple[int, ...] | None:
-    c0, c1, c2 = coeffs
-    arr = np.asarray(elems, dtype=np.int64)
-    sorted_vals = np.sort(arr)
-    n = len(arr)
-    for q0 in arr:
-        target = -c0 * q0 - c1 * arr
-        ok = target % c2 == 0
-        q2 = np.where(ok, target // c2, 0)
-        idx = np.searchsorted(sorted_vals, q2)
-        present = ok & (idx < n)
-        present &= sorted_vals[np.minimum(idx, n - 1)] == q2
-        valid = present & (arr != q0) & (q2 != q0) & (q2 != arr)
-        hits = np.nonzero(valid)[0]
-        if hits.size:
-            j = int(hits[0])
-            return (int(q0), int(arr[j]), int(q2[j]))
-    return None
+def _dfs_witness(coeffs: tuple[int, ...], elems: Sequence[int], members=None, res=None) -> tuple[int, ...] | None:
+    """First witness in the lexicographic order; any split gives it, so the
+    inner table takes the most positions that fit _ROWS. (`members` is unused.)"""
+    n, m = len(elems), len(coeffs)
+    h = next((h for h in range(m) if perm(n, m - h) <= _ROWS), m - 1)
+    return _join(coeffs, elems, h, True, res)
 
 
-def _numpy_witness_m4(coeffs: tuple[int, ...], elems: np.ndarray) -> tuple[int, ...] | None:
-    """Meet in the middle over coefficient halves with sorted pair sums."""
-    c0, c1, c2, c3 = coeffs
-    arr = np.asarray(elems, dtype=np.int64)
-    n = len(arr)
-    i = np.repeat(np.arange(n, dtype=np.int32), n)
-    j = np.tile(np.arange(n, dtype=np.int32), n)
-    keep = i != j
-    i, j = i[keep], j[keep]
-    sums_a = c0 * arr[i] + c1 * arr[j]
-    order = np.argsort(sums_a, kind="stable")
-    sorted_a = sums_a[order]
-    targets = -(c2 * arr[i] + c3 * arr[j])
-    lo = np.searchsorted(sorted_a, targets, side="left")
-    hi = np.searchsorted(sorted_a, targets, side="right")
-    for b in np.nonzero(lo < hi)[0]:
-        kk, ll = int(i[b]), int(j[b])
-        for pos in range(int(lo[b]), int(hi[b])):
-            a_idx = int(order[pos])
-            ii, jj = int(i[a_idx]), int(j[a_idx])
-            if ii != kk and ii != ll and jj != kk and jj != ll:
-                return tuple(int(arr[x]) for x in (ii, jj, kk, ll))
-    return None
+def _mitm_witness(coeffs: tuple[int, ...], elems: Sequence[int], h: int, res=None) -> tuple[int, ...] | None:
+    """First witness under the key (positions h.., positions ..h): meet in the middle."""
+    return _join(coeffs, elems, h, False, res)
 
 
 _NUMPY_M4_PAIR_BUDGET = 8_000_000
 
 
-def _find_witness(coeffs: tuple[int, ...], E: IntegerSet) -> tuple[int, ...] | None:
+def _find_witness(coeffs: tuple[int, ...], E: IntegerSet, res: _Residues) -> tuple[int, ...] | None:
     elems = E.elements
     n = len(elems)
     m = len(coeffs)
     if n < m:
         return None
     if perm(n, m - 1) <= DFS_BUDGET:
-        return _dfs_witness(coeffs, elems, E.members)
-    # an int64-safe search has max_abs < INT64_SAFE, so E.array is an int64 view
+        return _dfs_witness(coeffs, elems, res=res)
+    # int64_safe only picks the order: the kernel is exact on any set
     int64_safe = E.max_abs * 2 * sum(abs(c) for c in coeffs) < INT64_SAFE
     if m == 3 and int64_safe:
-        return _numpy_witness_m3(coeffs, E.array)
+        return _dfs_witness(coeffs, elems, res=res)
     if m == 4 and int64_safe and n * n <= _NUMPY_M4_PAIR_BUDGET:
-        return _numpy_witness_m4(coeffs, E.array)
+        return _mitm_witness(coeffs, elems, 2, res)
     h = m // 2
     while h > 1 and perm(n, h) > MITM_MEMORY_BUDGET:
         h -= 1
     if perm(n, h) <= MITM_MEMORY_BUDGET and perm(n, m - h) <= MITM_TIME_BUDGET:
-        return _mitm_witness(coeffs, elems, h)
+        return _mitm_witness(coeffs, elems, h, res)
     raise ValueError(
         f"independence search too large: |E|={n}, relation length {m} "
         f"(enumeration {perm(n, m - 1)} tuples exceeds budgets)"
@@ -314,12 +346,10 @@ def is_s_independent(E: IntegerSet | Sequence[int], s: int) -> IndependenceRepor
         E = IntegerSet.from_iterable(E)
     if s == 1 or len(E) < 3:
         return IndependenceReport(independent=True, s=s)
+    res = _Residues(E.elements)
     for coeffs in _search_reps(s):
-        witness = _find_witness(coeffs, E)
+        witness = _find_witness(coeffs, E, res)
         if witness is not None:
-            total = sum(c * q for c, q in zip(coeffs, witness))
-            if total != 0:  # re-verify in exact arithmetic before reporting
-                raise AssertionError("search returned a non-vanishing witness")
             return IndependenceReport(
                 independent=False, s=s, witness_relation=coeffs, witness_elements=witness
             )

@@ -1,9 +1,13 @@
+import math
 import random
 from itertools import permutations, product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lacunary import (
+    IndependenceReport,
     IntegerSet,
     RelationExplosionError,
     count_representations,
@@ -13,7 +17,10 @@ from lacunary import (
     is_s_independent,
     relation_count,
 )
+from lacunary import relations
+from lacunary.relations import P, _dfs_witness, _join, _mitm_witness, _search_reps
 
+import _oracles
 from _oracles import brute_force_relations, naive_s_independent, relations_grouped
 
 
@@ -179,12 +186,7 @@ def test_independence_engines_agree_on_larger_set():
 
 
 def test_search_engines_agree_on_existence():
-    from lacunary.relations import (
-        _dfs_witness,
-        _mitm_witness,
-        _numpy_witness_m3,
-        _numpy_witness_m4,
-    )
+    from lacunary.relations import _dfs_witness, _mitm_witness
 
     def check_witness(rel, wit, members):
         if wit is None:
@@ -201,17 +203,15 @@ def test_search_engines_agree_on_existence():
         members = frozenset(elems)
         for rel in rels3:
             dfs = _dfs_witness(rel, elems, members)
-            np3 = _numpy_witness_m3(rel, elems)
             mitm = _mitm_witness(rel, elems, 1)
-            assert (dfs is None) == (np3 is None) == (mitm is None)
-            for wit in (dfs, np3, mitm):
+            assert (dfs is None) == (mitm is None)
+            for wit in (dfs, mitm):
                 check_witness(rel, wit, members)
         for rel in rels4:
             dfs = _dfs_witness(rel, elems, members)
-            np4 = _numpy_witness_m4(rel, elems)
             mitm = _mitm_witness(rel, elems, 2)
-            assert (dfs is None) == (np4 is None) == (mitm is None)
-            for wit in (dfs, np4, mitm):
+            assert (dfs is None) == (mitm is None)
+            for wit in (dfs, mitm):
                 check_witness(rel, wit, members)
 
 
@@ -323,3 +323,175 @@ def test_independence_report_json():
     doc = report.to_json_dict()
     assert doc["independent"] is False
     assert all(isinstance(x, str) for x in doc["witness_elements"])
+
+
+# -- the residue-join kernel against the searches it replaced -------------------
+
+# element spans: tiny (dense, mostly dependent), int64-safe, past int64 safety,
+# and bignums at or above 2^63
+_SPANS = (8, 40, 2**40, 2**62, 2**64, 2**90)
+
+
+@st.composite
+def _integer_sets(draw, max_size):
+    """Sets of int64, negative, zero, bignum or mixed elements; a scale factor
+    carries small dependent sets into bignum range."""
+    spans = draw(st.lists(st.sampled_from(_SPANS), min_size=1, max_size=2))
+    elems = draw(st.lists(st.one_of(*(st.integers(-s, s) for s in spans)), max_size=max_size, unique=True))
+    scale = draw(st.sampled_from((1, 1, 3**45, -(2**64) - 1)))
+    return IntegerSet.from_iterable(q * scale for q in elems)
+
+
+def _report_tuple(report):
+    return report.independent, report.witness_relation, report.witness_elements
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_independence_reports_match_the_earlier_searches(data):
+    s = data.draw(st.sampled_from((2, 3, 4)), label="s")
+    E = data.draw(_integer_sets({2: 14, 3: 10, 4: 9}[s]), label="E")
+    want = _oracles.reference_independence(E, s, _search_reps(s))
+    assert _report_tuple(is_s_independent(E, s)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_both_orders_match_the_earlier_searches_at_every_split(data):
+    s = data.draw(st.sampled_from((2, 3)), label="s")
+    E = data.draw(_integer_sets(8), label="E")
+    # small chunks and batches put their boundaries inside these little tables
+    rows, batch = data.draw(st.sampled_from(((relations._ROWS, relations._BATCH), (7, 5), (2, 1))), label="sizes")
+    elems = E.elements
+    with mock.patch.object(relations, "_ROWS", rows), mock.patch.object(relations, "_BATCH", batch):
+        relations._first_tuples.cache_clear()
+        try:
+            for rep in _search_reps(s):
+                # a permuted representative puts equal coefficients apart
+                coeffs = tuple(data.draw(st.permutations(rep), label="coefficients"))
+                m = len(coeffs)
+                if m > len(elems):
+                    continue
+                want = _oracles._dfs_witness(coeffs, elems, E.members)
+                assert _dfs_witness(coeffs, elems, E.members) == want
+                for h in range(m):
+                    assert _join(coeffs, elems, h, True) == want
+                for h in range(1, m):
+                    assert _mitm_witness(coeffs, elems, h) == _oracles._mitm_witness(coeffs, elems, h)
+        finally:
+            relations._first_tuples.cache_clear()
+
+
+def test_independence_reports_match_the_earlier_searches_on_every_path():
+    # sets large enough that the budgets pick each order: int64 sets past the
+    # brute-force budget at lengths 3 and 4, bignum sets at a meet-in-the-middle
+    # split of 1, 2 and 3, independent and dependent
+    rng = random.Random(15)
+    powers = [3**k for k in range(1, 201)]
+    int64_set = rng.sample(range(1 << 40, 1 << 50), 256)
+    p, q, r = (rng.randrange(1 << 45, 1 << 46) for _ in range(3))
+    cases = [
+        (int64_set, 2),
+        (int64_set + [p, q, r, p + q - r], 2),
+        (rng.sample(range(1, 10**7), 1500), 2),
+        (powers, 2),
+        (powers + [3**150 + 3**120 - 3**7], 2),
+        (powers[:40], 3),
+        ([2**70 * k for k in (1, 2, 3)] + [3**k for k in range(50, 1550)], 2),
+    ]
+    for elems, s in cases:
+        E = IntegerSet.from_iterable(elems)
+        want = _oracles.reference_independence(E, s, _search_reps(s))
+        assert _report_tuple(is_s_independent(E, s)) == want
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    # these bases decide primality for every n < 3.3 * 10^24
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n == a:
+            return True
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_residue_modulus_is_prime_and_keeps_powers_of_two_apart():
+    assert P < 2**63 and _is_prime(P)
+    # P - 1 = 2 * 3^4 * 17 * 23 * 319279 * 456065899
+    factors = {2: 1, 3: 4, 17: 1, 23: 1, 319279: 1, 456065899: 1}
+    assert math.prod(f**e for f, e in factors.items()) == P - 1
+    assert all(_is_prime(f) for f in factors)
+    # 3 is a primitive root; 2 has order (P - 1) / 2
+    assert all(pow(3, (P - 1) // f, P) != 1 for f in factors)
+    assert pow(2, (P - 1) // 2, P) == 1
+    assert all(pow(2, (P - 1) // (2 * f), P) != 1 for f in factors if f != 2)
+    seen, x = set(), 1
+    for _ in range(10**5):
+        seen.add(x)
+        x = 2 * x % P
+    assert len(seen) == 10**5
+
+
+def test_independence_on_powers_and_multiples_of_the_modulus():
+    # powers of 2 and 3 up to exponent 300 wrap around P many times, and every
+    # multiple of P has residue 0, so each residue match there is checked exactly
+    rng = random.Random(2026)
+    grouped = {s: relations_grouped(s) for s in (2, 3)}
+    multiples = [k * P for k in range(-30, 31) if k]
+    for pool in ([2**a for a in range(1, 301)], [3**a for a in range(1, 301)], multiples):
+        for _ in range(40):
+            size = rng.randint(3, 6)
+            if rng.random() < 0.5:
+                start = rng.randrange(len(pool) - size)
+                elems = pool[start : start + size]
+            else:
+                elems = rng.sample(pool, size)
+            E = IntegerSet.from_iterable(elems)
+            for s in (2, 3):
+                report = is_s_independent(E, s)
+                assert report.independent == naive_s_independent(elems, grouped[s])
+                assert _report_tuple(report) == _oracles.reference_independence(E, s, _search_reps(s))
+
+
+_REFUSAL = (
+    "independence search too large: |E|=4473, relation length 3 "
+    "(enumeration 20003256 tuples exceeds budgets)"
+)
+
+
+def test_independence_budget_refusal():
+    E = IntegerSet(tuple(3**k for k in range(1, 4474)))
+    with pytest.raises(ValueError) as err:
+        is_s_independent(E, 2)
+    assert str(err.value) == _REFUSAL
+
+
+def test_cli_independence_budget_refusal_exits_3(tmp_path, capsys):
+    from lacunary.cli import EXIT_PRECONDITION, main
+
+    setfile = tmp_path / "powers.lines"
+    setfile.write_text("".join(f"{3**k}\n" for k in range(1, 4474)))
+    assert main(["independence", "--set", str(setfile), "--s", "2"]) == EXIT_PRECONDITION
+    assert _REFUSAL in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "relation, elements",
+    [((1, -2, 1), None), (None, (1, 2, 3))],
+    ids=["relation_without_elements", "elements_without_relation"],
+)
+def test_independence_report_refuses_a_half_witness(relation, elements):
+    with pytest.raises(ValueError, match="witness present iff dependent"):
+        IndependenceReport(relation is None, 2, relation, elements)
