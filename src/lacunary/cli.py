@@ -143,8 +143,7 @@ def _cmd_weyl(args) -> int:
         report = equidistribution_scan(E, _parsed("--ks", int, args.ks.split(",")), points)
         _emit(report.to_csv() if args.format == "csv" else report.to_json(indent=2), args.out_file)
     else:
-        report = weyl_means(E, args.k if args.k is not None else len(E), points)
-        _emit(report.to_json(indent=2), args.out_file)
+        _emit(weyl_means(E, args.k if args.k is not None else len(E), points).to_json(indent=2), args.out_file)
     return EXIT_OK
 
 

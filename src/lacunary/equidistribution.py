@@ -304,8 +304,11 @@ def _grid_sup(freqs: np.ndarray, coeffs: np.ndarray, N: int, size: int, grid_cap
     Any grid of M >= 4N points certifies: Bernstein's inequality bounds |p'|
     by N ||p||, and every point of the circle lies within pi/M radians of
     the grid, so the grid max is at least (1 - pi N / M) ||p|| >=
-    (1 - pi/4) ||p||. Hence ||p|| <= 4.66 x grid max < 5 x grid max. A
-    smaller grid leaves only a lower estimate.
+    (1 - pi/4) ||p||. Hence ||p|| <= 4.66 x grid max < 5 x grid max. The
+    true factor is smaller: |p|^2 is a real trigonometric polynomial of degree
+    W = max n - min n, so by Szego's inequality (1928) ||p|| <= grid max /
+    sqrt(cos(pi W / M)) for M > 2W, about 1.19 x grid max at M >= 4N >= 4W
+    (positive supports). A grid below 4N points leaves only a lower estimate.
     """
     if len(coeffs) == 0:
         return GridSupReport(0.0, 0.0, True, 1, False, 0)

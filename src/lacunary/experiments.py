@@ -405,6 +405,8 @@ def _run(pipeline: str, cell, gated: bool, stages: tuple, config: ExperimentConf
         if not growth.is_polynomial:
             raise GrowthGateError(growth)
         docs["growth"] = summary["growth"] = growth.to_json_dict()
+    # before any trial: a schedule whose digest cannot be written fails here
+    docs.update(decomposition=env.decomposition.to_json_dict(), schedule=_schedule_stage(env))
     psi_ks = _psi_ks(config, len(env.source)) if config.compute_psi and _psi_stage in stages else ()
     rows = _fan_out(config, env, threads, psi_ks)
 
@@ -419,7 +421,7 @@ def _run(pipeline: str, cell, gated: bool, stages: tuple, config: ExperimentConf
             per_s[str(s)] = cell(dep, bound, config.trials)
         mean = sum(row["block_counts"][k] for row in rows) / config.trials
         table.append({"k": k, "size": blk.size, "ell": blk.ell, "mean_selected": mean, "independence": per_s})
-    docs.update(decomposition=env.decomposition.to_json_dict(), schedule=_schedule_stage(env), blocks=table)
+    docs["blocks"] = table
     summary.update(tail_start=config.tail_start, tail_blocks=[b["k"] for b in table[config.tail_start :]])
     for stage in stages:
         more_docs, more_summary = stage(config, env, rows, table)

@@ -12,7 +12,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._util import check_keys, json_ints, json_str, ln_int, read_json
 from .integer_sets import IntegerSet
@@ -83,7 +83,18 @@ def dyadic_partition(k_max: int) -> Partition:
     """Cut points 1, 2, 4, ..., 2^k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return Partition(tuple(1 << k for k in range(k_max + 1)), "dyadic")
+    return Partition(_powers_of_two(range(k_max + 1), "k_max"), "dyadic")
+
+
+def _powers_of_two(exps: Iterable[int], key: str) -> tuple[int, ...]:
+    """2^e for each e, refusing before its shift an e past 14284: 2^14284 is the
+    largest power of two of at most 4,300 digits, the most Python writes out."""
+    cuts = []
+    for e in exps:
+        if e > 14_284:
+            raise ValueError(f"{key}: cut 2^{e} is past 2^14284, the largest power of two of at most 4300 digits")
+        cuts.append(1 << e)
+    return tuple(cuts)
 
 
 def gross_partition(k_max: int, exponents: Sequence[int] | None = None) -> Partition:
@@ -96,19 +107,19 @@ def gross_partition(k_max: int, exponents: Sequence[int] | None = None) -> Parti
     if exponents is None:
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        exps = [math.factorial(k) for k in range(1, k_max + 1)]
-    else:
-        exps = [int(e) for e in exponents]
-        if len(exps) < 1:
-            raise ValueError("need at least one exponent")
-        if any(e < 1 for e in exps) or any(a >= b for a, b in zip(exps, exps[1:])):
-            raise ValueError("exponents must be strictly increasing positive integers")
-        ratios = [b / a for a, b in zip(exps, exps[1:])]
-        if any(r <= GROSS_RATIO_THRESHOLD for r in ratios):
-            raise ValueError(f"gross ratio condition violated: exponent ratio <= {GROSS_RATIO_THRESHOLD}")
-        if any(b < a - 1e-12 for a, b in zip(ratios, ratios[1:])):
-            raise ValueError("gross ratio condition violated: exponent ratios must be nondecreasing")
-    return Partition(tuple(1 << e for e in exps), "gross")
+        return Partition(_powers_of_two((math.factorial(k) for k in range(1, k_max + 1)), "k_max"), "gross")
+    exps = [int(e) for e in exponents]
+    if len(exps) < 1:
+        raise ValueError("need at least one exponent")
+    if any(e < 1 for e in exps) or any(a >= b for a, b in zip(exps, exps[1:])):
+        raise ValueError("exponents must be strictly increasing positive integers")
+    cuts = _powers_of_two(exps, "exponents")  # before the ratios, which no float holds past 2^1024
+    ratios = [b / a for a, b in zip(exps, exps[1:])]
+    if any(r <= GROSS_RATIO_THRESHOLD for r in ratios):
+        raise ValueError(f"gross ratio condition violated: exponent ratio <= {GROSS_RATIO_THRESHOLD}")
+    if any(b < a - 1e-12 for a, b in zip(ratios, ratios[1:])):
+        raise ValueError("gross ratio condition violated: exponent ratios must be nondecreasing")
+    return Partition(cuts, "gross")
 
 
 @dataclass(frozen=True)

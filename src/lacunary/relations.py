@@ -8,10 +8,11 @@ vanishes on any tuple of distinct elements. All arithmetic is exact.
 
 One kernel searches for witnesses: it joins a table of inner index tuples to
 a walk over outer ones on residues mod the prime P, and verifies each match
-in exact integers. A witness is the first under one of two orders: the
-lexicographic order on the whole tuple while perm(n, m - 1) <= DFS_BUDGET
-(and for int64 sets at m = 3), else meet in the middle at a split h, whose
-tables stay within MITM_MEMORY_BUDGET and MITM_TIME_BUDGET.
+in exact integers; both are rows of the lexicographic product table of
+indices, cut to distinct indices. A witness is the first under one of two
+orders: the lexicographic order on the whole tuple while perm(n, m - 1) <=
+DFS_BUDGET (and for int64 sets at m = 3), else meet in the middle at a split
+h, whose tables stay within one MITM_MEMORY_BUDGET and MITM_TIME_BUDGET.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ DEFAULT_S_MAX = 4
 # search budgets, in enumerated tuples; chosen so the worst case stays in the
 # low tens of seconds on a desktop
 DFS_BUDGET = 2_000_000
-MITM_MEMORY_BUDGET = 2_000_000
+MITM_MEMORY_BUDGET = 8_000_000
 MITM_TIME_BUDGET = 20_000_000
 
 # witness searches match residues mod this prime: 3 is a primitive root and 2
@@ -203,25 +204,19 @@ class IndependenceReport:
 
 
 def _tuples(n: int, cs: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """Ranks start..stop-1 of the lexicographic table of len(cs)-tuples of distinct
-    indices below n (int32); digit j of a rank, in radix n - j, picks the d-th unused
-    index. Rows falling along a run of equal coefficients go: the sorted run has the
-    same sum and index set and comes first, so no first witness is lost."""
-    out = np.empty((stop - start, len(cs)), dtype=np.int32)
-    rank = np.arange(start, stop, dtype=np.int64)
-    for j in range(len(cs)):
-        d = rank // perm(n - j - 1, len(cs) - j - 1) % (n - j)
-        for used in np.sort(out[:, :j], axis=1).T:
-            d = d + (d >= used)
-        out[:, j] = d
-    rising = [out[:, j - 1] < out[:, j] for j in range(1, len(cs)) if cs[j] == cs[j - 1]]
-    return out[np.logical_and.reduce(rising)] if rising else out
+    """Rows start..stop-1 of the lexicographic product table of len(cs)-tuples of
+    indices below n (int32) with distinct indices, rising along runs of equal
+    coefficients: the sorted run has the same sum and index set and comes first."""
+    out = np.stack(np.unravel_index(np.arange(start, stop), (n,) * len(cs)), axis=1, dtype=np.int32)
+    keep = [out[:, i] != out[:, j] for j in range(len(cs)) for i in range(j)]
+    keep += [out[:, j - 1] < out[:, j] for j in range(1, len(cs)) if cs[j] == cs[j - 1]]
+    return out[np.logical_and.reduce(keep)] if keep else out
 
 
 @lru_cache(maxsize=128)
 def _first_tuples(n: int, cs: tuple[int, ...]) -> np.ndarray:
-    """The first _ROWS ranks of the (n, cs) table, kept (read-only) for the next set."""
-    out = _tuples(n, cs, 0, min(perm(n, len(cs)), _ROWS))
+    """The first _ROWS rows of the (n, cs) table, kept (read-only) for the next set."""
+    out = _tuples(n, cs, 0, min(n ** len(cs), _ROWS))
     out.setflags(write=False)
     return out
 
@@ -264,7 +259,7 @@ def _join(coeffs: tuple[int, ...], elems: Sequence[int], h: int, lex: bool, res=
     the matches of its targets are expanded in batches, cleared of shared
     indices and verified exactly (a relation vanishes mod P; a match may not)."""
     outer_c, inner_c = (coeffs[:h], coeffs[h:]) if lex else (coeffs[h:], coeffs[:h])
-    n, rows_in = len(elems), perm(len(elems), len(inner_c))
+    n, rows_in = len(elems), len(elems) ** len(inner_c)
     res = _Residues(elems) if res is None else res
     inner = _first_tuples(n, inner_c) if rows_in <= _ROWS else _tuples(n, inner_c, 0, rows_in)
     sums = _sums(res, inner_c, inner)
@@ -272,7 +267,7 @@ def _join(coeffs: tuple[int, ...], elems: Sequence[int], h: int, lex: bool, res=
         return _first_exact(coeffs, elems, inner[(sums == 0).nonzero()[0]])
     order = sums.argsort(kind="stable")
     sums = sums[order]
-    neg, total = tuple(-c for c in outer_c), perm(n, len(outer_c))
+    neg, total = tuple(-c for c in outer_c), n ** len(outer_c)
     for start in range(0, total, _ROWS):
         outer = _first_tuples(n, neg) if start == 0 else _tuples(n, neg, start, min(start + _ROWS, total))
         target = _sums(res, neg, outer)
@@ -296,7 +291,7 @@ def _dfs_witness(coeffs: tuple[int, ...], elems: Sequence[int], members=None, re
     """First witness in the lexicographic order; any split gives it, so the
     inner table takes the most positions that fit _ROWS. (`members` is unused.)"""
     n, m = len(elems), len(coeffs)
-    h = next((h for h in range(m) if perm(n, m - h) <= _ROWS), m - 1)
+    h = next((h for h in range(m) if n ** (m - h) <= _ROWS), m - 1)
     return _join(coeffs, elems, h, True, res)
 
 
@@ -305,26 +300,15 @@ def _mitm_witness(coeffs: tuple[int, ...], elems: Sequence[int], h: int, res=Non
     return _join(coeffs, elems, h, False, res)
 
 
-_NUMPY_M4_PAIR_BUDGET = 8_000_000
-
-
 def _find_witness(coeffs: tuple[int, ...], E: IntegerSet, res: _Residues) -> tuple[int, ...] | None:
-    elems = E.elements
-    n = len(elems)
-    m = len(coeffs)
+    elems, n, m = E.elements, len(E), len(coeffs)
     if n < m:
         return None
-    if perm(n, m - 1) <= DFS_BUDGET:
+    # int64 sets keep the lexicographic order at m = 3 past DFS_BUDGET; being
+    # int64-safe only picks the order, since the kernel is exact on any set
+    if perm(n, m - 1) <= DFS_BUDGET or (m == 3 and E.max_abs * 2 * sum(map(abs, coeffs)) < INT64_SAFE):
         return _dfs_witness(coeffs, elems, res=res)
-    # int64_safe only picks the order: the kernel is exact on any set
-    int64_safe = E.max_abs * 2 * sum(abs(c) for c in coeffs) < INT64_SAFE
-    if m == 3 and int64_safe:
-        return _dfs_witness(coeffs, elems, res=res)
-    if m == 4 and int64_safe and n * n <= _NUMPY_M4_PAIR_BUDGET:
-        return _mitm_witness(coeffs, elems, 2, res)
-    h = m // 2
-    while h > 1 and perm(n, h) > MITM_MEMORY_BUDGET:
-        h -= 1
+    h = max([h for h in range(2, m // 2 + 1) if perm(n, h) <= MITM_MEMORY_BUDGET], default=1)
     if perm(n, h) <= MITM_MEMORY_BUDGET and perm(n, m - h) <= MITM_TIME_BUDGET:
         return _mitm_witness(coeffs, elems, h, res)
     raise ValueError(

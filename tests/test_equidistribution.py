@@ -324,6 +324,31 @@ def test_sup_norm_fine_grid_within_certificate():
         assert fine + 1e-9 >= coarse.coarse_sup  # finer grid sees at least as much
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(5, 300),
+    offset=st.integers(-500, 500),
+    positive=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_max_over_root_cos_bounds_the_sup(width, offset, positive, seed):
+    # |p|^2 is a real trigonometric polynomial of degree W = max n - min n, so
+    # by Szego's inequality no point of the circle exceeds the max over M > 2W
+    # roots of unity by more than 1 / sqrt(cos(pi W / M)); a grid of 64W + 7
+    # points stands in for the sup
+    rng = random.Random(seed)
+    inner = rng.sample(range(1, width), rng.randint(0, width - 1))
+    if positive:
+        coeff = lambda: rng.uniform(0.01, 1.0)
+    else:
+        coeff = lambda: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    spectrum = {offset + d: coeff() for d in (0, width, *inner)}
+    fine = np.abs(grid_values(spectrum, 64 * width + 7)).max()
+    for M in (math.ceil(2.1 * width), math.ceil(2.5 * width), 3 * width, 4 * width):
+        coarse = np.abs(grid_values(spectrum, M)).max()
+        assert fine <= coarse / math.sqrt(math.cos(math.pi * width / M)) * (1 + 1e-9)
+
+
 def test_grid_values_match_direct_evaluation():
     spectrum = {-3: 1.0, 2: -0.5, 11: 2.0}
     M = 64

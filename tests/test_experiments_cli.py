@@ -319,6 +319,46 @@ def test_certification_one_psi_checkpoint_records_values_without_verdict(tmp_pat
     assert main(["--config", str(cfgfile), "--out", str(tmp_path), "pipeline", "certify"]) == EXIT_OK
 
 
+def test_certification_psi_without_a_value_or_a_checkpoint():
+    # blocks 0..7 of the primes <= 2^14 select nothing, so sigma_k = 0 at the
+    # first checkpoint (k = 19, the prime 67) and psi has no value there
+    ells = [0] * 8 + list(range(8, 15))
+    cfg = small_cert_config(schedule={"kind": "blockwise", "ells": ells}, psi_fractions=(0.01, 1.0), trials=3)
+    record = run_certification(cfg)
+    stage = record.stages["psi"]
+    first, last = (str(k) for k in stage["checkpoints"])
+    assert first == "19"
+    for entry in stage["per_trial"]:
+        assert entry["values"][first] is None and entry["certified"][first] is None
+        assert type(entry["values"][last]) is float
+    assert stage["decay_usable_trials"] == 0 and stage["decay_fraction"] is None
+    assert "decay_wilson_99" not in stage
+    assert record.summary["psi_decay_fraction"] is None
+    assert record.summary["psi_decay_meets_threshold"] is False
+    # no fraction, no checkpoint: an empty stage without a verdict
+    record = run_certification(small_cert_config(psi_fractions=(), trials=2))
+    assert record.stages["psi"] == {"checkpoints": [], "per_trial": []}
+    assert record.summary["psi_decay_fraction"] is None
+    assert record.summary["psi_decay_meets_threshold"] is None
+
+
+def test_unwritable_schedule_refused_before_any_trial(monkeypatch):
+    from lacunary import experiments
+
+    calls = []
+    real = experiments.select
+    monkeypatch.setattr(experiments, "select", lambda *args: calls.append(args) or real(*args))
+    cfg = small_block_config(
+        source={"kind": "geometric", "base": 3, "k_max": 9013},
+        partition={"kind": "dyadic", "k_max": 20},
+        trials=3,
+        tail_start=1,
+    )
+    with pytest.raises(ValueError, match="4300 digits"):
+        run_block_independence(cfg)
+    assert calls == []
+
+
 def test_certification_growth_gate():
     # 40 powers of 3 still fit the margin at desk scale; 200 do not
     cfg = small_cert_config(source={"kind": "geometric", "base": 3, "k_max": 200})
@@ -377,6 +417,37 @@ def test_cli_partition(tmp_path):
     assert doc["cut_points"][-1] == str(2**120)
 
 
+def test_cli_partition_dyadic(tmp_path):
+    out = tmp_path / "part.json"
+    assert main(["partition", "--kind", "dyadic", "--k-max", "3", "--out-file", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text()) == {"kind": "dyadic", "cut_points": ["1", "2", "4", "8"]}
+
+
+def test_cli_generate_sumset_with_label(tmp_path, capsys):
+    base = tmp_path / "base.lines"
+    base.write_text("1\n2\n4\n")
+    assert main(["generate", "--sumset", str(base), "--j", "2", "--label", "pairs"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"label": "pairs", "elements": ["3", "5", "6"]}
+
+
+def test_cli_select_block_schedule_writes_block_counts_and_bitmap(tmp_path):
+    from lacunary import blockwise_schedule, decompose, dyadic_partition, generate_primes, select
+
+    E = generate_primes(200)
+    D = decompose(E, dyadic_partition(7))
+    sched = blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)])
+    trial = select(E, sched, 5)
+    paths = {name: tmp_path / f"{name}.json" for name in ("set", "schedule", "trial", "bitmap")}
+    paths["set"].write_text(E.to_json())
+    paths["schedule"].write_text(sched.to_json())
+    argv = ["--seed", "5", "select", "--set", str(paths["set"]), "--schedule", str(paths["schedule"])]
+    assert main([*argv, "--out-file", str(paths["trial"])]) == EXIT_OK
+    doc = json.loads(paths["trial"].read_text())
+    assert doc["block_counts"] == list(trial.block_counts) == [len(b) for b in decompose(trial.selected, D.partition).blocks]
+    assert main([*argv, "--format", "bitmap", "--out-file", str(paths["bitmap"])]) == EXIT_OK
+    assert json.loads(paths["bitmap"].read_text()) == trial.to_bitmap_json_dict(E)
+
+
 def test_cli_select_density_zero_gives_empty_set(tmp_path):
     setfile = tmp_path / "set.json"
     main(["generate", "--integers", "--n-max", "50", "--out-file", str(setfile)])
@@ -429,6 +500,16 @@ def test_cli_weyl_scan_csv(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "k,max_off_exclusion"
     assert len(lines) == 4
+
+
+def test_cli_weyl_without_ks_writes_the_means_at_the_full_prefix(tmp_path, capsys):
+    from lacunary import CirclePoint, generate_integers, weyl_means
+
+    setfile = tmp_path / "set.lines"
+    setfile.write_text("".join(f"{n}\n" for n in range(1, 11)))
+    assert main(["weyl", "--set", str(setfile)]) == EXIT_OK
+    points = [CirclePoint.parse(p) for p in ("1/2", "0.41421356237309515")]
+    assert json.loads(capsys.readouterr().out) == json.loads(weyl_means(generate_integers(10), 10, points).to_json())
 
 
 def test_cli_psi_pipeline_files(tmp_path, capsys):
@@ -551,6 +632,14 @@ def _set(**changes):
         pytest.param(
             _set(source={"kind": "integers", "n_max": 3}, partition={"kind": "dyadic", "k_max": 6}, tail_start=4),
             [], "block-independence", True, id="empty_tail_block",
+        ),
+        pytest.param(
+            _set(partition={"kind": "gross", "exponents": [2, 4, 10**21]}), [], "certify", True, id="gross_cut_unprintable"
+        ),
+        # 3^9013 has 4,301 digits: the schedule digest cannot write it out
+        pytest.param(
+            _set(source={"kind": "geometric", "base": 3, "k_max": 9013}, partition={"kind": "dyadic", "k_max": 20}, tail_start=1),
+            [], "block-independence", True, id="schedule_digest_unwritable",
         ),
     ],
 )
@@ -708,6 +797,13 @@ def test_cli_weyl_bad_option_exits_3_naming_it(tmp_path, capsys, extra, option):
             ["partition", "--kind", "gross", "--k-max", "3", "--exponents", "1,x"], "--exponents",
             id="exponents_not_int",
         ),
+        pytest.param(["partition", "--kind", "gross", "--k-max", "30"], "k_max", id="gross_k_max_30"),
+        pytest.param(["partition", "--kind", "gross", "--k-max", "8"], "k_max", id="gross_k_max_8"),
+        pytest.param(["partition", "--kind", "dyadic", "--k-max", "14285"], "k_max", id="dyadic_k_max_14285"),
+        pytest.param(["montecarlo", "--mode", "dependence", "--ell", "2", "--s", "2"], "--set", id="dependence_no_set"),
+        pytest.param(["montecarlo", "--mode", "bernstein", "--a", "5"], "--n", id="bernstein_no_n"),
+        pytest.param(["montecarlo", "--mode", "bernstein", "--n", "10", "--a", "5", "--dist", "gauss"], "'gauss'", id="dist_unknown"),
+        pytest.param(["pipeline", "certify"], "--config", id="pipeline_no_config"),
     ],
 )
 def test_cli_bad_list_option_exits_3_naming_it(capsys, argv, option):

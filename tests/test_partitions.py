@@ -62,6 +62,33 @@ def test_gross_custom_exponents_validated():
         gross_partition(3, exponents=[4, 4, 9])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gross_partition(3, exponents=[2, 8, 16]), "ratios must be nondecreasing"),  # ratios 4, 2
+        (lambda: gross_partition(8), "k_max: cut 2\\^40320 is past 2\\^14284"),
+        (lambda: gross_partition(30), "k_max: cut 2\\^40320 is past 2\\^14284"),
+        (lambda: gross_partition(1, exponents=[2, 4, 10**21]), "exponents: cut 2\\^1000000000000000000000 is past"),
+        (lambda: dyadic_partition(14_285), "k_max: cut 2\\^14285 is past 2\\^14284"),
+        (lambda: dyadic_partition(10**12), "k_max: cut 2\\^14285 is past 2\\^14284"),
+    ],
+    ids=["decreasing_ratio", "gross_k_max_8", "gross_k_max_30", "gross_exponent_1e21", "dyadic_k_max_14285", "dyadic_k_max_1e12"],
+)
+def test_partition_builders_refuse_naming_the_key(build, message):
+    # a cut past 2^14284 has more than the 4,300 digits Python writes an int in
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_partition_cuts_up_to_2_14284_unchanged():
+    for k_max in range(1, 8):
+        assert gross_partition(k_max).cut_points == tuple(2 ** math.factorial(k) for k in range(1, k_max + 1))
+    assert gross_partition(1, exponents=[3, 14_284]).cut_points == (8, 2**14284)
+    P = dyadic_partition(14_284)
+    assert P.cut_points == tuple(2**k for k in range(14_285))
+    assert len(P.to_json_dict()["cut_points"][-1]) == 4300
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition((4, 2), "custom")
