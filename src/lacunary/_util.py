@@ -1,12 +1,14 @@
-"""Shared helpers: bignum logarithms, canonical JSON, JSON key and value checks, confidence intervals."""
+"""Shared helpers: bignum logarithms, decimal writing, canonical JSON, JSON key and value checks,
+confidence intervals."""
 
 from __future__ import annotations
 
 import json
 import math
 import reprlib
+import sys
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 # z quantile for a two-sided 99% interval
 Z_99 = 2.5758293035489004
@@ -44,6 +46,24 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def decimal_strs(elements: Sequence[int], name: str) -> list[str]:
+    """Each element in decimal. Python writes at most
+    sys.get_int_max_str_digits() digits (4300 by default), so a longer element
+    is refused naming `name`, the element's position and its digit count."""
+    try:
+        return [str(n) for n in elements]
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        least = 10**limit  # the least integer of limit + 1 digits
+        i, n = next((i, abs(n)) for i, n in enumerate(elements) if abs(n) >= least)
+        digits = math.floor((n.bit_length() - 1) * math.log10(2)) + 1
+        digits += n >= 10**digits
+        raise ValueError(
+            f"{name}: element {i + 1} of {len(elements)} has {digits} digits, past the {limit} digits"
+            " that can be written in decimal"
+        ) from None
 
 
 def canonical_json(obj: Any) -> str:

@@ -36,6 +36,7 @@ from .relations import is_s_independent
 from .selection import (
     DensitySchedule,
     SelectionTrial,
+    below_bound_with_slack,
     monte_carlo_dependence,
     select as select_op,
     uniform_schedule,
@@ -163,8 +164,8 @@ def _cmd_montecarlo(args) -> int:
         E = _load_set(args.set)
         est = monte_carlo_dependence(E, args.ell, args.s, args.trials, args.seed)
         _emit(json.dumps(est.to_json_dict(), indent=2), args.out_file)
-        falsified = est.bound < 1.0 and est.frequency > est.bound + 3.0 * est.wilson_half_width
-        return EXIT_FALSIFIED if falsified else EXIT_OK
+        held = below_bound_with_slack(est.frequency, est.bound, est.wilson_low, est.wilson_high)
+        return EXIT_OK if held else EXIT_FALSIFIED
     if args.mode == "bernstein":
         if args.n is None or args.a is None:
             raise ValueError("bernstein mode needs --n and --a")

@@ -22,6 +22,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -50,7 +51,9 @@ from .partitions import (
     verify_block_growth,
 )
 from .relations import DEFAULT_S_MAX, dependence_probability_bound, is_s_independent
-from .selection import DensitySchedule, blockwise_schedule, factorial_block_schedule, select, trial_seed
+from .selection import (
+    DensitySchedule, below_bound_with_slack, blockwise_schedule, factorial_block_schedule, select, trial_seed
+)
 
 TOOL_VERSION = "0.1.0"
 
@@ -121,9 +124,13 @@ def _check(key: str, value, rule: tuple) -> None:
 
 def _dyadic(spec: dict, source: IntegerSet) -> Partition:
     k_max = spec.get("k_max", "auto")
-    if k_max == "auto":
-        k_max = max(1, (max(source.max_abs, 2) - 1).bit_length())
-    return dyadic_partition(k_max)
+    if k_max != "auto":
+        return dyadic_partition(k_max)
+    k_max = max(1, (max(source.max_abs, 2) - 1).bit_length())
+    try:
+        return dyadic_partition(k_max)
+    except ValueError as err:  # the only refusal: a cut too long to write
+        raise ValueError(f'dyadic k_max "auto" is {k_max}, from the source\'s largest element; {err}') from None
 
 
 def _linear_blocks(spec: dict, decomposition: BlockDecomposition) -> DensitySchedule:
@@ -442,7 +449,7 @@ def _dependence_cell(dep: int, bound: float, trials: int) -> dict:
         "frequency": freq,
         "wilson_99": [lo, hi],
         "bound": bound,
-        "below_bound_with_slack": freq <= bound + 3.0 * (hi - lo) / 2.0,
+        "below_bound_with_slack": below_bound_with_slack(freq, bound, lo, hi),
     }
 
 
@@ -499,7 +506,8 @@ def _threshold_stage(config: ExperimentConfig, env: _Env, rows: list[dict], tabl
 
 
 def _psi_ks(config: ExperimentConfig, size: int) -> list[int]:
-    ks = sorted({max(1, math.ceil(f * size)) for f in config.psi_fractions})
+    # the fraction as written: 0.55 * 100 is 55.00000000000001 in floats
+    ks = sorted({max(1, math.ceil(Fraction(str(f)) * size)) for f in config.psi_fractions})
     return [k for k in ks if k <= size]
 
 

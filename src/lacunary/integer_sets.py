@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import check_keys, json_distinct_ints, json_str, ln_int, read_json
+from ._util import check_keys, decimal_strs, json_distinct_ints, json_str, ln_int, read_json
 
 INT64_SAFE = 1 << 62  # |n| below this leaves int64 headroom for sums and small multiples
 # classify_growth's verdict margin eta, sample count and fewest usable samples
@@ -107,7 +107,7 @@ class IntegerSet:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"label": self.label, "elements": [str(n) for n in self.elements]}
+        return {"label": self.label, "elements": decimal_strs(self.elements, f"set {self.label!r}")}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -125,7 +125,7 @@ class IntegerSet:
 
     def to_lines(self) -> str:
         """One decimal integer per line, for interop with other tools."""
-        return "\n".join(str(n) for n in self.elements) + ("\n" if self.elements else "")
+        return "\n".join([*decimal_strs(self.elements, f"set {self.label!r}"), ""])
 
     @classmethod
     def from_lines(cls, text: str, label: str = "") -> "IntegerSet":

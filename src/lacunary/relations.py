@@ -8,8 +8,9 @@ vanishes on any tuple of distinct elements. All arithmetic is exact.
 
 One kernel searches for witnesses: it joins a table of inner index tuples to
 a walk over outer ones on residues mod the prime P, and verifies each match
-in exact integers; both are rows of the lexicographic product table of
-indices, cut to distinct indices. A witness is the first under one of two
+in exact integers. Both are built in chunks of the lexicographic product
+table of indices, cut to distinct indices, so MITM_MEMORY_BUDGET, counting
+kept rows, bounds a search's memory. A witness is the first under one of two
 orders: the lexicographic order on the whole tuple while perm(n, m - 1) <=
 DFS_BUDGET (and for int64 sets at m = 3), else meet in the middle at a split
 h, whose tables stay within one MITM_MEMORY_BUDGET and MITM_TIME_BUDGET.
@@ -39,7 +40,7 @@ MITM_TIME_BUDGET = 20_000_000
 # witness searches match residues mod this prime: 3 is a primitive root and 2
 # has order (P - 1) / 2 (mod 2^61 - 1, powers of 2 repeat with period 61)
 P = (1 << 63) - 25
-_ROWS = 1 << 14  # outer tuples per chunk, and the most rows of a kept index table
+_ROWS = 1 << 14  # product rows per chunk of either table, and in each cached first chunk
 _BATCH = 1 << 14  # candidate pairs expanded at once
 
 
@@ -165,15 +166,10 @@ def dependence_probability_bound(s: int, ell: int, set_size: int) -> float:
 
 @lru_cache(maxsize=16)
 def _search_reps(s: int) -> tuple[tuple[int, ...], ...]:
-    """Relation representatives deduplicated under coordinate permutation and
-    global negation; each representative is itself a member of the full set."""
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for rel in enumerate_relations(s).all_relations():
-        coeffs = rel.coefficients
-        key = min(tuple(sorted(coeffs)), tuple(sorted(-c for c in coeffs)))
-        if key not in seen:
-            seen[key] = coeffs
-    return tuple(sorted(seen.values(), key=lambda c: (len(c), c)))
+    """The orbit representatives under coordinate permutation whose sorted
+    tuple is no greater than its sorted negation: one of each pair under -1."""
+    reps = (rel.coefficients for rel in enumerate_relations(s).representatives())
+    return tuple(c for c in reps if sorted(c) <= sorted(-x for x in c))
 
 
 @dataclass(frozen=True)
@@ -221,6 +217,13 @@ def _first_tuples(n: int, cs: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _chunks(n: int, cs: tuple[int, ...]):
+    """The kept rows of the (n, cs) table, _ROWS product rows at a time; the first chunk is cached."""
+    yield _first_tuples(n, cs)
+    for start in range(_ROWS, n ** len(cs), _ROWS):
+        yield _tuples(n, cs, start, min(start + _ROWS, n ** len(cs)))
+
+
 def _sums(res: dict[int, np.ndarray], coeffs: tuple[int, ...], idx: np.ndarray) -> np.ndarray:
     """sum_j c_j * q[idx[:, j]] mod P: each sum of two residues fits uint64,
     and min(t, t - P) takes P off exactly when t >= P."""
@@ -254,22 +257,22 @@ def _first_exact(coeffs: tuple[int, ...], elems: Sequence[int], idx: np.ndarray)
 def _join(coeffs: tuple[int, ...], elems: Sequence[int], h: int, lex: bool, res=None) -> tuple[int, ...] | None:
     """The first vanishing tuple of m <= len(elems) distinct elements under the
     key (outer indices, inner indices): outer positions are [0, h) when `lex`
-    (0 <= h < m: the lexicographic order), else [h, m) (0 < h < m). Inner
-    residue sums are sorted stably; the outer table is walked in chunks, and
-    the matches of its targets are expanded in batches, cleared of shared
-    indices and verified exactly (a relation vanishes mod P; a match may not)."""
+    (0 <= h < m: the lexicographic order), else [h, m) (0 < h < m). Both tables
+    are walked _ROWS product rows at a time; only kept inner rows, which the
+    memory budget counts, outlive a chunk. Inner sums are sorted stably; matches
+    of each outer chunk are expanded in batches, cleared of shared indices and
+    verified exactly (a relation vanishes mod P; a match may not)."""
     outer_c, inner_c = (coeffs[:h], coeffs[h:]) if lex else (coeffs[h:], coeffs[:h])
-    n, rows_in = len(elems), len(elems) ** len(inner_c)
-    res = _Residues(elems) if res is None else res
-    inner = _first_tuples(n, inner_c) if rows_in <= _ROWS else _tuples(n, inner_c, 0, rows_in)
+    n, res = len(elems), _Residues(elems) if res is None else res
+    parts = list(_chunks(n, inner_c))
+    inner = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts  # else the chunks would hold the kept rows twice
     sums = _sums(res, inner_c, inner)
     if not outer_c:  # the one target is 0, and the table is in order
         return _first_exact(coeffs, elems, inner[(sums == 0).nonzero()[0]])
     order = sums.argsort(kind="stable")
-    sums = sums[order]
-    neg, total = tuple(-c for c in outer_c), n ** len(outer_c)
-    for start in range(0, total, _ROWS):
-        outer = _first_tuples(n, neg) if start == 0 else _tuples(n, neg, start, min(start + _ROWS, total))
+    sums, neg = sums[order], tuple(-c for c in outer_c)
+    for outer in _chunks(n, neg):
         target = _sums(res, neg, outer)
         lo = sums.searchsorted(target)
         rows = (sums[np.minimum(lo, len(sums) - 1)] == target).nonzero()[0]

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from ._util import (
-    check_keys, json_distinct_ints, json_int, json_ints, json_list, json_str, ln_int, read_json, wilson_interval
+    check_keys, decimal_strs, json_distinct_ints, json_int, json_ints, json_list, json_str, ln_int, read_json,
+    wilson_interval,
 )
 from .integer_sets import IntegerSet
 from .partitions import BlockDecomposition
@@ -132,7 +133,7 @@ class DensitySchedule:
             "schema": 1,
             "kind": self.kind,
             "size": len(self.elements),
-            "elements_sha256": _digest(self.elements),
+            "elements_sha256": _digest(self.elements, f"the {self.kind} schedule's elements"),
         }
         if self.blocks is not None:
             doc["blocks"] = [
@@ -170,7 +171,7 @@ class DensitySchedule:
             blocks = tuple(_block_density(i, b) for i, b in enumerate(listed))
             if E is None:
                 raise ValueError("block-form schedule JSON needs the source set to realign")
-            if _digest(E.elements) != doc["elements_sha256"]:
+            if _digest(E.elements, f"set {E.label!r}") != doc["elements_sha256"]:
                 raise ValueError("schedule does not match this set (digest mismatch)")
             return cls._from_blocks(E.elements, blocks, kind)
         if "blocks" in doc:  # every block list goes through _from_blocks, which checks its tiling
@@ -204,17 +205,25 @@ def _block_density(i: int, b: dict) -> BlockDensity:
     k, ell, size, start = (
         read_json(b, key, json_int, "an integer", ctx, prefix + key) for key in ("k", "ell", "size", "start")
     )
-    return BlockDensity(k, ell, size, read_json(b, "delta", Fraction, "a rational", ctx, prefix + "delta"), start)
+    return BlockDensity(k, ell, size, read_json(b, "delta", _json_density, "a rational", ctx, prefix + "delta"), start)
 
 
 def _entry(pair) -> tuple[int, Fraction]:
     n, d = json_list(pair)
-    return json_int(n), Fraction(d)
+    return json_int(n), _json_density(d)
 
 
-def _digest(elements: Sequence[int]) -> str:
-    """sha256 of the elements in decimal, one per line."""
-    return hashlib.sha256("".join(f"{n}\n" for n in elements).encode()).hexdigest()
+def _json_density(value) -> Fraction:
+    """A JSON density: a number or an "a/b" string; a bool is refused."""
+    if type(value) is bool:
+        raise TypeError(f"not a density: {value!r}")
+    return Fraction(value)
+
+
+def _digest(elements: Sequence[int], name: str) -> str:
+    """sha256 of the elements in decimal, one per line; `name` names them if
+    one is too long to write."""
+    return hashlib.sha256("\n".join([*decimal_strs(elements, name), ""]).encode()).hexdigest()
 
 
 def uniform_schedule(E: IntegerSet, delta) -> DensitySchedule:
@@ -277,7 +286,7 @@ class SelectionTrial:
             "seed": self.seed,
             "source_label": E.label,
             "source_size": len(E),
-            "elements_sha256": _digest(E.elements),
+            "elements_sha256": _digest(E.elements, f"set {E.label!r}"),
             "bits_hex": np.packbits(flags, bitorder="little").tobytes().hex(),
         }
 
@@ -288,7 +297,7 @@ class SelectionTrial:
         seed, source_size = (read_json(doc, key, json_int, "an integer", ctx) for key in ("seed", "source_size"))
         if E is None:
             raise ValueError("bitmap trial JSON needs the source set to decode")
-        if _digest(E.elements) != doc["elements_sha256"]:
+        if _digest(E.elements, f"set {E.label!r}") != doc["elements_sha256"]:
             raise ValueError("trial does not match this set (digest mismatch)")
         buf = np.frombuffer(read_json(doc, "bits_hex", bytes.fromhex, "a hex string", ctx), dtype=np.uint8)
         if len(buf) != (len(E) + 7) // 8:
@@ -479,6 +488,13 @@ def _decrease_diagnostics(E: IntegerSet, dens: list[Fraction]) -> dict:
         "sigma_final": sig,
         "sigma_over_log_abs": {str(k): v for k, v in checkpoints.items()},
     }
+
+
+def below_bound_with_slack(frequency: float, bound: float, wilson_low: float, wilson_high: float) -> bool:
+    """A dependence frequency at most its bound plus three half-widths of its
+    99% Wilson interval. A frequency is at most 1, so a bound of 1 or more
+    always holds."""
+    return frequency <= bound + 3.0 * (wilson_high - wilson_low) / 2.0
 
 
 @dataclass(frozen=True)

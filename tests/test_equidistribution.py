@@ -670,3 +670,52 @@ def test_weyl_report_json():
     assert doc["k"] == 50
     assert len(doc["values"]) == 2
     assert doc["excluded"][0] is True
+
+
+@pytest.mark.parametrize("a, q", [(1, -3), (-1, 3), (-4, -6), (10, -3)])
+def test_circle_point_rational_takes_the_sign_of_q_into_a(a, q):
+    # a/q turns with q < 0 are -a/-q: every pair above is 2/3
+    p = CirclePoint.rational(a, q)
+    assert (p.a, p.q) == (2, 3)
+    assert p == CirclePoint.parse("2/3")
+
+
+def test_psi_refuses_a_misaligned_schedule():
+    E = generate_integers(100)
+    trial = select(E, uniform_schedule(E, Fraction(1, 2)), 5)
+    with pytest.raises(ValueError, match="misaligned"):
+        psi(E, trial, uniform_schedule(generate_integers(99), Fraction(1, 2)), 10)
+
+
+def _psi_series_report():
+    E = generate_integers(200)
+    sched = uniform_schedule(E, Fraction(1, 2))
+    return psi_series(E, select(E, sched, 3), sched, [100, 200], grid_cap=2**12)
+
+
+@pytest.mark.parametrize(
+    "make, want",
+    [
+        pytest.param(
+            lambda: sup_norm_via_grid({3**40: 1.0, 1: -1.0}, grid_cap=4096),
+            {"coarse_sup": 2.0, "bound": 10.0, "certified": False, "grid_size": 4096, "cap_active": True,
+             "max_frequency": str(3**40)},
+            id="grid_sup",
+        ),
+        pytest.param(
+            lambda: summing_matrix_check(DensitySchedule((1, 2, 3), (Fraction(0), Fraction(0), Fraction(1)))),
+            {"rows": [{"k": 3, "row_sum": "1/1", "row_sum_is_one": True, "variation": "5/1", "variation_is_one": False,
+                       "nonincreasing": False, "ok": False}],
+             "all_ok": False, "skipped_zero_sigma": [1, 2]},
+            id="summing_matrix",
+        ),
+        pytest.param(
+            _psi_series_report, lambda report: {"points": [p.to_json_dict() for p in report.points]}, id="psi_series"
+        ),
+    ],
+)
+def test_report_json(make, want):
+    report = make()
+    doc = report.to_json_dict()
+    assert doc == (want(report) if callable(want) else want)
+    assert json.loads(json.dumps(doc)) == doc

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lacunary import ExperimentConfig, run_block_independence, run_certification, save_record
+from lacunary import ExperimentConfig, IntegerSet, run_block_independence, run_certification, save_record
 from lacunary._util import canonical_json
 from lacunary.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_PRECONDITION, main
 from lacunary.experiments import GrowthGateError, build_partition, build_schedule, build_source
@@ -359,6 +359,47 @@ def test_unwritable_schedule_refused_before_any_trial(monkeypatch):
     assert calls == []
 
 
+def test_psi_checkpoints_take_the_fraction_as_written():
+    # 0.55 * 100 is 55.00000000000001 in floats, whose ceiling is 56
+    cfg = small_cert_config(source={"kind": "integers", "n_max": 100}, tail_start=3, psi_fractions=(0.55, 1.0), trials=2)
+    assert run_certification(cfg).stages["psi"]["checkpoints"] == [55, 100]
+
+
+_WRITE_LIMIT_HINT = "set_int_max_str_digits"
+
+
+@pytest.mark.parametrize(
+    "partition, argv, names",
+    [
+        pytest.param(
+            None, ["generate", "--geometric", "--base", "3", "--k-max", "9013"], "set '3^k[1..9013]'", id="generate"
+        ),
+        pytest.param({"kind": "dyadic", "k_max": 20}, [], "schedule's elements", id="pipeline_k_max_20"),
+        pytest.param(
+            {"kind": "dyadic", "k_max": "auto"}, [], '"auto" is 14286, from the source\'s largest element', id="pipeline_auto"
+        ),
+    ],
+)
+def test_unwritable_elements_refused_in_the_programs_terms(tmp_path, capsys, partition, argv, names):
+    # 3^9013 has 4,301 digits, one more than Python writes in decimal
+    if partition is not None:
+        cfg = small_block_config(source={"kind": "geometric", "base": 3, "k_max": 9013}, partition=partition, tail_start=1)
+        (tmp_path / "cfg.json").write_text(cfg.to_json())
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path), "pipeline", "block-independence"]
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert names in err and "4300 digits" in err and _WRITE_LIMIT_HINT not in err
+
+
+def test_set_writers_name_the_set_and_the_element():
+    E = IntegerSet((1, 3**9013), "big")
+    for write in (E.to_json_dict, E.to_lines):
+        with pytest.raises(ValueError, match="set 'big': element 2 of 2 has 4301 digits, past the 4300") as err:
+            write()
+        assert _WRITE_LIMIT_HINT not in str(err.value)
+    assert IntegerSet((1, 10**4299)).to_lines() == f"1\n{10**4299}\n"
+
+
 def test_certification_growth_gate():
     # 40 powers of 3 still fit the margin at desk scale; 200 do not
     cfg = small_cert_config(source={"kind": "geometric", "base": 3, "k_max": 200})
@@ -670,6 +711,11 @@ def _zero_block_denominator(doc):
     return doc
 
 
+def _bool_block_delta(doc):
+    doc["blocks"][1]["delta"] = True
+    return doc
+
+
 _SELECT = ["select", "--set", "{set}", "--schedule", "{schedule}"]
 _PSI = ["psi", "--set", "{set}", "--schedule", "{schedule}", "--trial", "{trial}"]
 _INDEPENDENCE = ["independence", "--set", "{set}", "--s", "2"]
@@ -697,6 +743,10 @@ _DIGEST_ONLY = {
         ),
         pytest.param(_SELECT, "schedule", lambda doc: {"entries": 5}, "entries", id="select_schedule_entries_number"),
         pytest.param(_SELECT, "schedule", _zero_block_denominator, "blocks[1].delta", id="select_schedule_delta_over_zero"),
+        pytest.param(_SELECT, "schedule", _bool_block_delta, "blocks[1].delta", id="select_schedule_delta_a_bool"),
+        pytest.param(
+            _SELECT, "schedule", lambda doc: {"entries": [["2", True]]}, "entries", id="select_schedule_entry_density_a_bool"
+        ),
         pytest.param(_PSI, "trial", lambda doc: {"seed": 1, "selected": 5}, "selected", id="psi_trial_selected_number"),
         pytest.param(_PSI, "trial", lambda doc: {**doc, "bits_hex": "zz"}, "bits_hex", id="psi_trial_bits_not_hex"),
         pytest.param(_INDEPENDENCE, "set", lambda doc: {"label": "x"}, "elements", id="independence_set_no_elements"),

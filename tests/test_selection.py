@@ -27,6 +27,7 @@ from lacunary import (
     trial_seed,
     uniform_schedule,
 )
+from lacunary._util import wilson_interval
 from lacunary.selection import _mix64_block, _thresholds
 
 
@@ -492,3 +493,43 @@ def test_schedule_json_entries_beside_blocks_refused():
     doc["blocks"] = [{"k": 0, "ell": 2, "size": 4, "delta": "1/2", "start": 10}]
     with pytest.raises(ValueError, match="entries or blocks, not both"):
         DensitySchedule.from_json_dict(doc, E)
+
+
+def test_trial_json_block_counts_read_back():
+    E = generate_primes(200)
+    D = decompose(E, dyadic_partition(7))
+    trial = select(E, blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)]), 12)
+    assert trial.block_counts is not None
+    back = SelectionTrial.from_json_dict(json.loads(trial.to_json()))
+    assert back.block_counts == trial.block_counts
+    assert trial.block_counts == tuple(len(b) for b in decompose(trial.selected, D.partition).blocks)
+    assert (back.selected.elements, back.source_size, back.source_label) == (trial.selected.elements, len(E), E.label)
+
+
+@pytest.mark.parametrize(
+    "schedule, against, message",
+    [
+        pytest.param(
+            uniform_schedule(generate_integers(20), Fraction(1, 2)), generate_integers(21), "misaligned",
+            id="entries_misaligned",
+        ),
+        pytest.param(
+            blockwise_schedule(decompose(generate_integers(20), dyadic_partition(5)), [0, 1, 1, 2, 2, 0]), None,
+            "needs the source set", id="blocks_without_set",
+        ),
+    ],
+)
+def test_schedule_json_read_against_its_set(schedule, against, message):
+    with pytest.raises(ValueError, match=message):
+        DensitySchedule.from_json_dict(json.loads(schedule.to_json()), against)
+
+
+@pytest.mark.parametrize("bound", [0.0, 0.05, 0.5, 0.999, 1.0, 3.5])
+def test_below_bound_with_slack_is_the_falsification_rule(bound):
+    # a frequency is at most 1, so a bound of 1 or more is never falsified
+    from lacunary.selection import below_bound_with_slack
+
+    for dep in range(0, 41, 4):
+        freq, (lo, hi) = dep / 40, wilson_interval(dep, 40)
+        falsified = bound < 1.0 and freq > bound + 3.0 * ((hi - lo) / 2.0)
+        assert below_bound_with_slack(freq, bound, lo, hi) is not falsified
