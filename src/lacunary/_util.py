@@ -1,5 +1,5 @@
-"""Shared helpers: bignum logarithms, decimal writing, canonical JSON, JSON key and value checks,
-confidence intervals."""
+"""Shared helpers: bignum logarithms, decimal writing, the JSON document base, canonical JSON, JSON key and
+value checks, confidence intervals."""
 
 from __future__ import annotations
 
@@ -64,6 +64,26 @@ def decimal_strs(elements: Sequence[int], name: str) -> list[str]:
             f"{name}: element {i + 1} of {len(elements)} has {digits} digits, past the {limit} digits"
             " that can be written in decimal"
         ) from None
+
+
+def fraction_strs(values: Sequence, name: str) -> list[str]:
+    """Each rational as "numerator/denominator" in decimal; a part too long to
+    write is refused as decimal_strs refuses it."""
+    nums = decimal_strs([v.numerator for v in values], f"{name} (numerators)")
+    dens = decimal_strs([v.denominator for v in values], f"{name} (denominators)")
+    return [f"{a}/{b}" for a, b in zip(nums, dens)]
+
+
+class Doc:
+    """A document written as JSON. A subclass gives to_json_dict, and
+    from_json_dict(doc, *args) if it can be read back."""
+
+    def to_json(self, indent: int | None = None) -> str:
+        return json.dumps(self.to_json_dict(), indent=indent)
+
+    @classmethod
+    def from_json(cls, text: str, *args):
+        return cls.from_json_dict(json.loads(text), *args)
 
 
 def canonical_json(obj: Any) -> str:

@@ -114,8 +114,7 @@ def _cmd_partition(args) -> int:
 def _cmd_select(args) -> int:
     E = _load_set(args.set)
     if args.schedule:
-        doc = json.loads(Path(args.schedule).read_text())
-        schedule = DensitySchedule.from_json_dict(doc, E)
+        schedule = DensitySchedule.from_json(Path(args.schedule).read_text(), E)
     elif args.density is not None:
         schedule = uniform_schedule(E, args.density)
     else:
@@ -150,10 +149,10 @@ def _cmd_weyl(args) -> int:
 
 def _cmd_psi(args) -> int:
     E = _load_set(args.set)
-    schedule = DensitySchedule.from_json_dict(json.loads(Path(args.schedule).read_text()), E)
-    trial = SelectionTrial.from_json_dict(json.loads(Path(args.trial).read_text()), E)
+    schedule = DensitySchedule.from_json(Path(args.schedule).read_text(), E)
+    trial = SelectionTrial.from_json(Path(args.trial).read_text(), E)
     point = psi_op(E, trial, schedule, args.k if args.k is not None else len(E), args.grid_cap)
-    _emit(json.dumps(point.to_json_dict(), indent=2), args.out_file)
+    _emit(point.to_json(indent=2), args.out_file)
     return EXIT_OK
 
 
@@ -163,7 +162,7 @@ def _cmd_montecarlo(args) -> int:
             raise ValueError("dependence mode needs --set, --ell and --s")
         E = _load_set(args.set)
         est = monte_carlo_dependence(E, args.ell, args.s, args.trials, args.seed)
-        _emit(json.dumps(est.to_json_dict(), indent=2), args.out_file)
+        _emit(est.to_json(indent=2), args.out_file)
         held = below_bound_with_slack(est.frequency, est.bound, est.wilson_low, est.wilson_high)
         return EXIT_OK if held else EXIT_FALSIFIED
     if args.mode == "bernstein":
@@ -178,7 +177,7 @@ def _cmd_montecarlo(args) -> int:
             raise ValueError(f"unknown distribution {args.dist!r}")
         a_values = _parsed("--a", float, args.a.split(","))
         report = monte_carlo_bernstein(args.n, dist, a_values, args.trials, args.seed)
-        _emit(json.dumps(report.to_json_dict(), indent=2), args.out_file)
+        _emit(report.to_json(indent=2), args.out_file)
         return EXIT_OK if report.all_within_bound else EXIT_FALSIFIED
     raise ValueError(f"unknown montecarlo mode {args.mode!r}")
 

@@ -11,7 +11,6 @@ its low b bits before a Python multiply.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import ln_int
+from ._util import Doc, decimal_strs, fraction_strs, ln_int
 from .integer_sets import INT64_SAFE, IntegerSet
 from .selection import DensitySchedule, SelectionTrial
 
@@ -147,7 +146,7 @@ def _max_off_exclusion(moduli: Sequence[float], excluded: Sequence[bool]) -> flo
 
 
 @dataclass(frozen=True)
-class WeylReport:
+class WeylReport(Doc):
     k: int
     points: tuple[CirclePoint, ...]
     values: tuple[complex, ...]
@@ -165,9 +164,6 @@ class WeylReport:
             "exclusion": dict(_EXCLUSION_JSON),
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
 
 def weyl_means(E: IntegerSet, k: int, points: Sequence[CirclePoint]) -> WeylReport:
     """f_k(t) = (1/k) sum of the first k characters, at each point."""
@@ -181,7 +177,7 @@ def weyl_means(E: IntegerSet, k: int, points: Sequence[CirclePoint]) -> WeylRepo
 
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Doc):
     ks: tuple[int, ...]
     points: tuple[CirclePoint, ...]
     moduli: tuple[tuple[float, ...], ...]  # [k index][point index]
@@ -199,9 +195,6 @@ class ScanReport:
             "decreasing_fraction": self.decreasing_fraction,
             "exclusion": dict(_EXCLUSION_JSON),
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
     def to_csv(self) -> str:
         lines = ["k,max_off_exclusion"]
@@ -264,7 +257,7 @@ class GridSupReport:
             "certified": self.certified,
             "grid_size": self.grid_size,
             "cap_active": self.cap_active,
-            "max_frequency": str(self.max_frequency),
+            "max_frequency": decimal_strs([self.max_frequency], "grid sup max_frequency")[0],
         }
 
 
@@ -330,7 +323,7 @@ def _grid_sup(freqs: np.ndarray, coeffs: np.ndarray, N: int, size: int, grid_cap
 
 
 @dataclass(frozen=True)
-class PsiPoint:
+class PsiPoint(Doc):
     """Grid sup of the difference between the empirical mean of selected
     characters and the density-weighted mean, at prefix length k."""
 
@@ -434,7 +427,7 @@ def bernstein_bound(sigma: float, a: float) -> float:
 
 
 @dataclass(frozen=True)
-class BernsteinValidation:
+class BernsteinValidation(Doc):
     kind: str
     n: int
     sigma: float
@@ -560,12 +553,13 @@ def summing_matrix_check(schedule: DensitySchedule, ks: Sequence[int] | None = N
         nonincreasing = all(a >= b for a, b in zip(dens, dens[1:]))
         row_ok = row_sum == 1 and variation == 1
         ok = ok and row_ok
+        row_sum_text, variation_text = fraction_strs([row_sum, variation], f"summing-matrix row {k}")
         rows.append(
             {
                 "k": k,
-                "row_sum": f"{row_sum.numerator}/{row_sum.denominator}",
+                "row_sum": row_sum_text,
                 "row_sum_is_one": row_sum == 1,
-                "variation": f"{variation.numerator}/{variation.denominator}",
+                "variation": variation_text,
                 "variation_is_one": variation == 1,
                 "nonincreasing": nonincreasing,
                 "ok": row_ok,

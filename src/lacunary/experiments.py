@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from ._util import canonical_json, check_keys, ln_int, wilson_interval
+from ._util import Doc, canonical_json, check_keys, ln_int, wilson_interval
 from .equidistribution import (
     DEFAULT_GRID_CAP,
     CirclePoint,
@@ -197,7 +197,7 @@ def _field(rule: tuple, kinds: dict | None = None, **kwargs):
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Doc):
     """The experiment contract. Its fields are the only statement of the
     config schema: each declares its JSON key, its default and its rule, and
     __post_init__ applies every rule, so a config built in Python or loaded
@@ -252,10 +252,6 @@ class ExperimentConfig:
         required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
         check_keys(doc, required, [f.name for f in fields(cls)], context=" in config")
         return cls(**{key: tuple(v) if type(v) is list else v for key, v in doc.items()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_json_dict(json.loads(text))
 
     def hash(self) -> str:
         return hashlib.sha256(canonical_json(self.to_json_dict()).encode()).hexdigest()

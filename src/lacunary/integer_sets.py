@@ -8,9 +8,10 @@ every |n| < INT64_SAFE, else object) are built on first use and then kept.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
+import reprlib
+import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import check_keys, decimal_strs, json_distinct_ints, json_str, ln_int, read_json
+from ._util import Doc, check_keys, decimal_strs, json_distinct_ints, json_str, ln_int, read_json
 
 INT64_SAFE = 1 << 62  # |n| below this leaves int64 headroom for sums and small multiples
 # classify_growth's verdict margin eta, sample count and fewest usable samples
@@ -36,7 +37,7 @@ def _abs_order_key(n: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class IntegerSet:
+class IntegerSet(Doc):
     """A finite set of integers, stored sorted by increasing absolute value."""
 
     elements: tuple[int, ...]
@@ -109,9 +110,6 @@ class IntegerSet:
     def to_json_dict(self) -> dict:
         return {"label": self.label, "elements": decimal_strs(self.elements, f"set {self.label!r}")}
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "IntegerSet":
         ctx = " in set JSON"
@@ -119,17 +117,22 @@ class IntegerSet:
         elements = read_json(doc, "elements", json_distinct_ints, "a list of distinct integers", ctx)
         return cls.from_iterable(elements, read_json(doc, "label", json_str, "a string", ctx) if "label" in doc else "")
 
-    @classmethod
-    def from_json(cls, text: str) -> "IntegerSet":
-        return cls.from_json_dict(json.loads(text))
-
     def to_lines(self) -> str:
         """One decimal integer per line, for interop with other tools."""
         return "\n".join([*decimal_strs(self.elements, f"set {self.label!r}"), ""])
 
     @classmethod
     def from_lines(cls, text: str, label: str = "") -> "IntegerSet":
-        return cls.from_iterable((int(line) for line in text.split() if line.strip()), label)
+        """The whitespace-separated integers of `text`; an entry that is not one
+        is refused naming its position."""
+        values = []
+        for i, entry in enumerate(text.split(), 1):
+            try:
+                values.append(int(entry))
+            except ValueError:
+                most = sys.get_int_max_str_digits()
+                raise ValueError(f"entry {i}, {reprlib.repr(entry)}, is not an integer of up to {most} digits") from None
+        return cls.from_iterable(values, label)
 
 
 def distribution_function(E: IntegerSet, t: int) -> int:
@@ -195,7 +198,7 @@ def generate_sumset(base: IntegerSet, j: int) -> IntegerSet:
         raise ValueError("j must be positive")
     if j > len(base):
         raise ValueError(f"j={j} exceeds base size {len(base)}")
-    if base.elements and base.elements[0] <= 0:
+    if base.elements and min(base.elements) <= 0:
         raise ValueError("sumset base must be strictly positive")
     sums = {sum(combo) for combo in combinations(base.elements, j)}
     return IntegerSet.from_iterable(sums, f"{base.label or 'base'}+^{j}")
@@ -236,7 +239,7 @@ class GrowthReport:
             "c_hat": self.c_hat,
             "is_polynomial": self.is_polynomial,
             "is_regular": self.is_regular,
-            "fit_range": [str(self.fit_range[0]), str(self.fit_range[1])],
+            "fit_range": decimal_strs(self.fit_range, "growth report fit_range"),
             "margin": self.margin,
             "sample_count": self.sample_count,
         }

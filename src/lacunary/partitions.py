@@ -8,20 +8,19 @@ cut exponents that grow superlinearly (2^{k!} by default).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._util import check_keys, json_ints, json_str, ln_int, read_json
+from ._util import Doc, check_keys, decimal_strs, json_ints, json_str, ln_int, read_json
 from .integer_sets import IntegerSet
 
 GROSS_RATIO_THRESHOLD = 1.5
 
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(Doc):
     cut_points: tuple[int, ...]
     kind: str  # "dyadic" | "gross" | "custom"
 
@@ -62,10 +61,7 @@ class Partition:
         return bisect_right(self.cut_points, a - 1) if a > 0 else 0
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "cut_points": [str(p) for p in self.cut_points]}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+        return {"kind": self.kind, "cut_points": decimal_strs(self.cut_points, f"{self.kind} partition cut_points")}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Partition":
@@ -73,10 +69,6 @@ class Partition:
         check_keys(doc, ("cut_points", "kind"), context=ctx)
         cuts = read_json(doc, "cut_points", json_ints, "a list of integers", ctx)
         return cls(tuple(cuts), read_json(doc, "kind", json_str, "a string", ctx))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Partition":
-        return cls.from_json_dict(json.loads(text))
 
 
 def dyadic_partition(k_max: int) -> Partition:
@@ -132,18 +124,16 @@ class BlockDecomposition:
     remainder: IntegerSet
 
     def to_json_dict(self) -> dict:
+        partition = self.partition.to_json_dict()
+        sizes = [self.partition.block_size(k) for k in range(len(self.blocks))]
+        sizes = decimal_strs(sizes, f"decomposition of {self.source.label!r} interval sizes")
         return {
-            "partition": self.partition.to_json_dict(),
+            "partition": partition,
             "source_label": self.source.label,
             "source_size": len(self.source),
             "blocks": [
-                {
-                    "k": k,
-                    "interval_hi": str(self.partition.cut_points[k]),
-                    "set_size": len(blk),
-                    "interval_size": str(self.partition.block_size(k)),
-                }
-                for k, blk in enumerate(self.blocks)
+                {"k": k, "interval_hi": hi, "set_size": len(blk), "interval_size": size}
+                for k, (blk, hi, size) in enumerate(zip(self.blocks, partition["cut_points"], sizes))
             ],
             "remainder_size": len(self.remainder),
         }

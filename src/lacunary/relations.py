@@ -18,7 +18,6 @@ h, whose tables stay within one MITM_MEMORY_BUDGET and MITM_TIME_BUDGET.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._util import Doc, decimal_strs
 from .integer_sets import INT64_SAFE, IntegerSet
 
 DEFAULT_S_MAX = 4
@@ -173,7 +173,7 @@ def _search_reps(s: int) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(Doc):
     independent: bool
     s: int
     witness_relation: tuple[int, ...] | None = None
@@ -192,11 +192,8 @@ class IndependenceReport:
         doc: dict = {"independent": self.independent, "s": self.s}
         if not self.independent:
             doc["witness_relation"] = list(self.witness_relation)  # type: ignore[arg-type]
-            doc["witness_elements"] = [str(q) for q in self.witness_elements]  # type: ignore[union-attr]
+            doc["witness_elements"] = decimal_strs(self.witness_elements, f"{self.s}-independence witness")
         return doc
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def _tuples(n: int, cs: tuple[int, ...], start: int, stop: int) -> np.ndarray:
@@ -354,10 +351,12 @@ class RepresentationCounts:
     moment: int
 
     def to_json_dict(self) -> dict:
+        name = f"{self.s}-fold representation counts"
+        totals = sorted(self.counts)
         return {
             "s": self.s,
-            "moment": str(self.moment),
-            "counts": {str(n): r for n, r in sorted(self.counts.items())},
+            "moment": decimal_strs([self.moment], f"{name} moment")[0],
+            "counts": dict(zip(decimal_strs(totals, f"{name} totals"), [self.counts[n] for n in totals])),
         }
 
 
@@ -367,7 +366,7 @@ def count_representations(E: IntegerSet, s: int) -> RepresentationCounts:
         raise ValueError("s must be >= 1")
     if len(E) == 0:
         return RepresentationCounts(s=s, counts={}, moment=0)
-    if E.elements[0] < 0:
+    if min(E.elements) < 0:
         raise ValueError("count_representations requires nonnegative elements")
     counts: dict[int, int] = {n: 1 for n in E.elements}
     for _ in range(s - 1):

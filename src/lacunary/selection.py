@@ -10,7 +10,6 @@ results are independent of evaluation order and thread count.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from ._util import (
-    check_keys, decimal_strs, json_distinct_ints, json_int, json_ints, json_list, json_str, ln_int, read_json,
-    wilson_interval,
+    Doc, check_keys, decimal_strs, fraction_strs, json_distinct_ints, json_int, json_ints, json_list, json_str, ln_int,
+    read_json, wilson_interval,
 )
 from .integer_sets import IntegerSet
 from .partitions import BlockDecomposition
@@ -76,7 +75,7 @@ class BlockDensity:
 
 
 @dataclass(frozen=True)
-class DensitySchedule:
+class DensitySchedule(Doc):
     elements: tuple[int, ...]
     densities: tuple[Fraction, ...]
     blocks: tuple[BlockDensity, ...] | None = None
@@ -129,42 +128,33 @@ class DensitySchedule:
         """Blocks and per-block sigma for a blockwise schedule, else every
         (element, density) entry and the running sigma."""
         sig = self.sigma_float()
+        name = f"the {self.kind} schedule's"
         doc: dict = {
             "schema": 1,
             "kind": self.kind,
             "size": len(self.elements),
-            "elements_sha256": _digest(self.elements, f"the {self.kind} schedule's elements"),
+            "elements_sha256": _digest(self.elements, f"{name} elements"),
         }
         if self.blocks is not None:
+            deltas = fraction_strs([b.delta for b in self.blocks], f"{name} block deltas")
             doc["blocks"] = [
-                {
-                    "k": b.k,
-                    "ell": b.ell,
-                    "size": b.size,
-                    "delta": f"{b.delta.numerator}/{b.delta.denominator}",
-                    "start": b.start,
-                }
-                for b in self.blocks
+                {"k": b.k, "ell": b.ell, "size": b.size, "delta": delta, "start": b.start}
+                for b, delta in zip(self.blocks, deltas)
             ]
             doc["sigma"] = [float(sig[b.start + b.size - 1]) for b in self.blocks if b.size > 0]
         else:
             doc["sigma"] = [float(x) for x in sig]
-            doc["entries"] = [
-                [str(n), f"{d.numerator}/{d.denominator}"]
-                for n, d in zip(self.elements, self.densities)
-            ]
+            elements = decimal_strs(self.elements, f"{name} elements")
+            doc["entries"] = [list(pair) for pair in zip(elements, fraction_strs(self.densities, f"{name} densities"))]
         if self.diagnostics is not None:
             doc["diagnostics"] = self.diagnostics
         return doc
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
     @classmethod
     def from_json_dict(cls, doc: dict, E: IntegerSet | None = None) -> "DensitySchedule":
         ctx = " in schedule JSON"
         check_keys(doc, (), context=ctx)
-        kind = doc.get("kind", "custom")
+        kind = read_json(doc, "kind", json_str, "a string", ctx) if "kind" in doc else "custom"
         if "entries" not in doc:
             check_keys(doc, ("elements_sha256", "blocks"), context=ctx)
             listed = read_json(doc, "blocks", json_list, "a list", ctx)
@@ -232,7 +222,7 @@ def uniform_schedule(E: IntegerSet, delta) -> DensitySchedule:
 
 
 @dataclass(frozen=True)
-class SelectionTrial:
+class SelectionTrial(Doc):
     seed: int
     selected: IntegerSet
     block_counts: tuple[int, ...] | None = None
@@ -245,14 +235,11 @@ class SelectionTrial:
             "seed": self.seed,
             "source_label": self.source_label,
             "source_size": self.source_size,
-            "selected": [str(n) for n in self.selected.elements],
+            "selected": decimal_strs(self.selected.elements, f"trial of {self.source_label!r}"),
         }
         if self.block_counts is not None:
             doc["block_counts"] = list(self.block_counts)
         return doc
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
     @classmethod
     def from_json_dict(cls, doc: dict, E: IntegerSet | None = None) -> "SelectionTrial":
@@ -261,11 +248,13 @@ class SelectionTrial:
         ctx = " in trial JSON"
         check_keys(doc, ("seed", "selected"), context=ctx)
         selected = read_json(doc, "selected", json_distinct_ints, "a list of distinct integers", ctx)
+        counts = read_json(doc, "block_counts", json_ints, "a list of integers", ctx) if "block_counts" in doc else None
+        if counts is not None and (min(counts, default=0) < 0 or sum(counts) != len(selected)):
+            raise ValueError(f"key 'block_counts'{ctx} must be nonnegative and sum to {len(selected)}, got {counts}")
         return cls(
             seed=read_json(doc, "seed", json_int, "an integer", ctx),
             selected=IntegerSet.from_iterable(selected, "selected"),
-            block_counts=tuple(read_json(doc, "block_counts", json_ints, "a list of integers", ctx))
-            if "block_counts" in doc else None,
+            block_counts=None if counts is None else tuple(counts),
             source_size=read_json(doc, "source_size", json_int, "an integer", ctx) if "source_size" in doc else 0,
             source_label=read_json(doc, "source_label", json_str, "a string", ctx) if "source_label" in doc else "",
         )
@@ -498,7 +487,7 @@ def below_bound_with_slack(frequency: float, bound: float, wilson_low: float, wi
 
 
 @dataclass(frozen=True)
-class DependenceEstimate:
+class DependenceEstimate(Doc):
     s: int
     ell: int
     set_size: int

@@ -471,6 +471,21 @@ def test_cli_generate_sumset_with_label(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"label": "pairs", "elements": ["3", "5", "6"]}
 
 
+def test_cli_generate_sumset_refuses_a_negative_base_element(tmp_path, capsys):
+    base = tmp_path / "base.lines"
+    base.write_text("1\n-5\n3\n")
+    assert main(["generate", "--sumset", str(base), "--j", "2"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "strictly positive" in captured.err
+
+
+def test_cli_lines_set_names_the_bad_entry(tmp_path, capsys):
+    setfile = tmp_path / "set.lines"
+    setfile.write_text("1\nabc\n")
+    assert main(["independence", "--set", str(setfile), "--s", "2"]) == EXIT_PRECONDITION
+    assert "error: entry 2, 'abc', is not an integer" in capsys.readouterr().err
+
+
 def test_cli_select_block_schedule_writes_block_counts_and_bitmap(tmp_path):
     from lacunary import blockwise_schedule, decompose, dyadic_partition, generate_primes, select
 
@@ -770,6 +785,16 @@ _DIGEST_ONLY = {
             _PSI, "trial", lambda doc: {"seed": 1, "selected": ["2", "2", "3"]}, "selected", id="psi_trial_selected_repeats"
         ),
         pytest.param(_INDEPENDENCE, "set", lambda doc: {**doc, "label": 7}, "label", id="independence_set_label_a_number"),
+        pytest.param(_SELECT, "schedule", lambda doc: {**doc, "kind": {"x": [1]}}, "kind", id="select_schedule_kind_an_object"),
+        pytest.param(_PSI, "schedule", lambda doc: {**doc, "kind": 5}, "kind", id="psi_schedule_kind_a_number"),
+        pytest.param(
+            _PSI, "trial", lambda doc: {"seed": 1, "selected": ["2", "3"], "block_counts": [7, -3]}, "block_counts",
+            id="psi_trial_block_count_negative",
+        ),
+        pytest.param(
+            _PSI, "trial", lambda doc: {"seed": 1, "selected": ["2", "3"], "block_counts": [1, 2]}, "block_counts",
+            id="psi_trial_block_counts_miss_the_selected_count",
+        ),
         pytest.param(
             _INDEPENDENCE, "set", lambda doc: {"label": "x", "elements": ["3", "3", "5"]}, "elements",
             id="independence_set_elements_repeat",

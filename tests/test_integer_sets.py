@@ -125,6 +125,13 @@ def test_sumset_preconditions():
         generate_sumset(IntegerSet.from_iterable([-1, 2]), 1)
 
 
+@pytest.mark.parametrize("elements", [[1, -5, 3], [-1, 5, 3]], ids=["negative_last", "negative_first"])
+def test_sumset_refuses_a_nonpositive_base_in_any_order(elements):
+    # the elements run by |n|, so the negative one need not come first
+    with pytest.raises(ValueError, match="strictly positive"):
+        generate_sumset(IntegerSet.from_iterable(elements), 2)
+
+
 def test_distribution_function_basics():
     squares = generate_polynomial([0, 0, 1], 20)
     assert distribution_function(squares, 100) == 10
@@ -158,6 +165,20 @@ def test_json_round_trip_preserves_bignums():
 def test_lines_round_trip():
     E = IntegerSet.from_iterable([-4, 4, 1], "x")
     assert IntegerSet.from_lines(E.to_lines()).elements == E.elements
+
+
+@pytest.mark.parametrize(
+    "text, entry",
+    [
+        pytest.param("1\nabc", "entry 2, 'abc'", id="not_an_integer"),
+        pytest.param("7 8\n\n1.5\n", "entry 3, '1.5'", id="a_decimal"),
+        pytest.param("1\n" + "9" * 5000, "entry 2, '9999", id="past_the_digit_limit"),
+    ],
+)
+def test_from_lines_names_the_bad_entry(text, entry):
+    with pytest.raises(ValueError, match=f"{entry}.*is not an integer of up to 4300 digits") as err:
+        IntegerSet.from_lines(text)
+    assert "set_int_max_str_digits" not in str(err.value) and len(str(err.value)) < 100
 
 
 def test_classify_growth_squares():

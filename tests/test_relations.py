@@ -289,6 +289,13 @@ def test_count_representations_requires_nonnegative():
         count_representations(IntegerSet.from_iterable([-1, 2]), 2)
 
 
+@pytest.mark.parametrize("elements", [[1, -5], [-1, 5]], ids=["negative_last", "negative_first"])
+def test_count_representations_refuses_a_negative_element_in_any_order(elements):
+    # the elements run by |n|, so the negative one need not come first
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_representations(IntegerSet.from_iterable(elements), 2)
+
+
 def test_moment_identity_iff_2_independent():
     rng = random.Random(2)
     checked_independent = 0
