@@ -83,7 +83,19 @@ class Doc:
 
     @classmethod
     def from_json(cls, text: str, *args):
-        return cls.from_json_dict(json.loads(text), *args)
+        """The document in `text`. Python reads at most
+        sys.get_int_max_str_digits() digits of an integer literal (4300 by
+        default), so a longer one is refused naming the document."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            raise ValueError(
+                f"{cls.__name__} JSON: an integer literal has more than {sys.get_int_max_str_digits()} digits,"
+                " the most that can be read in decimal"
+            ) from None
+        return cls.from_json_dict(doc, *args)
 
 
 def canonical_json(obj: Any) -> str:

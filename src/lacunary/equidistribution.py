@@ -228,11 +228,17 @@ def _grid_values(freqs: np.ndarray, coeffs: np.ndarray, grid_size: int) -> np.nd
         raise ValueError("grid_size must be positive")
     # int64 freqs, or an object array of Python ints that reduce exactly at any size
     bins = np.mod(freqs, grid_size).astype(np.int64)
-    arr = np.zeros(grid_size, dtype=complex)
-    # unbuffered and in input order: colliding bins sum in the same order as
-    # a term-by-term loop, so the result is bit-identical to one
-    np.add.at(arr, bins, coeffs)
-    return np.fft.ifft(arr) * grid_size
+    # bincount starts each bin at +0.0 and adds its weights in input order, as
+    # a term-by-term loop into a zeroed grid does (complex addition adds the
+    # parts apart): colliding bins sum in the loop's order, and a lone -0.0
+    # lands on +0.0 both ways, so the grid is the loop's bit for bit
+    arr = np.empty(grid_size, dtype=complex)
+    arr.real = np.bincount(bins, coeffs.real, grid_size)
+    arr.imag = np.bincount(bins, coeffs.imag, grid_size)
+    # in place: no second grid-sized array for the transform or the scaling
+    np.fft.ifft(arr, out=arr)
+    arr *= grid_size
+    return arr
 
 
 def grid_values(spectrum: Mapping[int, complex], grid_size: int) -> np.ndarray:

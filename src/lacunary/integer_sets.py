@@ -16,7 +16,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import combinations, compress, islice
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +24,9 @@ import numpy as np
 from ._util import Doc, check_keys, decimal_strs, json_distinct_ints, json_str, ln_int, read_json
 
 INT64_SAFE = 1 << 62  # |n| below this leaves int64 headroom for sums and small multiples
+# sets of at least this many elements check their order in numpy when they fit int64;
+# below it the array's fixed cost exceeds the interpreted check
+NUMPY_ORDER_CHECK = 256
 # classify_growth's verdict margin eta, sample count and fewest usable samples
 GROWTH_MARGIN = 0.05
 GROWTH_SAMPLES = 48
@@ -36,6 +39,20 @@ def _abs_order_key(n: int) -> tuple[int, int]:
     return (abs(n), n)
 
 
+def _abs_ordered(elems: tuple) -> bool:
+    """Whether the (|n|, n) keys of `elems` strictly increase: sorted and
+    duplicate-free. A long int64 set compares the keys 2|n| + (n > 0), which
+    increase along the same order while |n| < INT64_SAFE; the array is not
+    kept, so `array` stays a view built on first use. A last element past
+    INT64_SAFE, as in every sorted bignum set, skips the array."""
+    if len(elems) >= NUMPY_ORDER_CHECK and abs(elems[-1]) < INT64_SAFE:
+        arr = np.array(elems)
+        if arr.dtype == np.int64 and -INT64_SAFE < arr.min() and arr.max() < INT64_SAFE:
+            return bool(np.all(np.diff(2 * np.abs(arr) + (arr > 0)) > 0))
+    keys = list(zip(map(abs, elems), elems))
+    return not any(map(operator.ge, keys, islice(keys, 1, None)))
+
+
 @dataclass(frozen=True)
 class IntegerSet(Doc):
     """A finite set of integers, stored sorted by increasing absolute value."""
@@ -45,9 +62,7 @@ class IntegerSet(Doc):
 
     def __post_init__(self) -> None:
         elems = tuple(self.elements)
-        # strictly increasing (|n|, n) keys mean sorted and duplicate-free
-        keys = list(zip(map(abs, elems), elems))
-        if any(map(operator.ge, keys, islice(keys, 1, None))):
+        if not _abs_ordered(elems):
             raise ValueError("elements must be duplicate-free and sorted by |n| (negative first on ties)")
         object.__setattr__(self, "elements", elems)
 
@@ -171,16 +186,17 @@ def generate_polynomial(coefficients: Sequence[int], k_max: int) -> IntegerSet:
 
 
 def generate_primes(limit: int) -> IntegerSet:
-    """All primes <= limit by a sieve of Eratosthenes; empty below 2."""
+    """All primes <= limit by a sieve of Eratosthenes over a numpy bool
+    array, each prime p striking p^2, p^2 + p, ... in one slice; the set holds
+    Python ints. Empty below 2."""
     if limit < 2:
         return IntegerSet((), f"primes<={limit}")
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
-            start = p * p
-            sieve[start :: p] = bytearray(len(range(start, limit + 1, p)))
-    return IntegerSet(tuple(compress(range(limit + 1), sieve)), f"primes<={limit}")
+            sieve[p * p :: p] = False
+    return IntegerSet(tuple(np.flatnonzero(sieve).tolist()), f"primes<={limit}")
 
 
 def generate_geometric(base: int, k_max: int) -> IntegerSet:

@@ -296,10 +296,15 @@ class SelectionTrial(Doc):
         picked = tuple(compress(E.elements, np.unpackbits(buf, count=len(E), bitorder="little").tolist()))
         return cls(
             seed=seed,
-            selected=E._part(picked, f"{E.label}|seed{seed}"),
+            selected=E._part(picked, _selected_label(E, seed)),
             source_size=source_size,
             source_label=read_json(doc, "source_label", json_str, "a string", ctx) if "source_label" in doc else "",
         )
+
+
+def _selected_label(E: IntegerSet, seed: int) -> str:
+    # a seed too long to write in decimal is refused naming it
+    return f"{E.label}|seed{decimal_strs([seed], f'seed of a selection from {E.label!r}')[0]}"
 
 
 def _thresholds(densities: Sequence[Fraction]) -> list[int]:
@@ -329,7 +334,7 @@ def select(E: IntegerSet, schedule: DensitySchedule, seed: int) -> SelectionTria
     thr_u = np.array([(t - 1) & _MASK64 for t in thresholds], dtype=np.uint64)
     nonzero = np.array([t > 0 for t in thresholds], dtype=bool)
     picked_idx = np.nonzero(nonzero & (words <= thr_u))[0]
-    selected = E._part(tuple(map(E.elements.__getitem__, picked_idx.tolist())), f"{E.label}|seed{seed}")
+    selected = E._part(tuple(map(E.elements.__getitem__, picked_idx.tolist())), _selected_label(E, seed))
     block_counts = None
     if schedule.blocks is not None:
         ends = np.searchsorted(picked_idx, [b.start + b.size for b in schedule.blocks])  # they tile a prefix of E

@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import defaultdict
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from math import perm
 from typing import Iterator
 
@@ -58,6 +58,20 @@ def is_prime_trial_division(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def bytearray_sieve_primes(limit: int) -> tuple[int, ...]:
+    """All primes <= limit by the bytearray sieve of Eratosthenes that
+    generate_primes used before its numpy sieve."""
+    if limit < 2:
+        return ()
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            start = p * p
+            sieve[start :: p] = bytearray(len(range(start, limit + 1, p)))
+    return tuple(compress(range(limit + 1), sieve))
 
 
 def direct_sup_on_grid(spectrum: dict[int, complex], grid_size: int) -> float:

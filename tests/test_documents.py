@@ -139,3 +139,19 @@ def test_unwritable_integer_refused_naming_its_document(write, names):
     with pytest.raises(ValueError, match=names + ".* has 4301 digits, past the 4300") as err:
         write()
     assert _WRITE_LIMIT_HINT not in str(err.value)
+
+
+def test_selection_label_writes_its_seed_in_decimal():
+    small = L.generate_integers(5)
+    everything = L.uniform_schedule(small, 1)
+    for seed in (0, 17, -3, 2**64 + 5, 10**4299):
+        trial = L.select(small, everything, seed)
+        assert trial.selected.label == f"1..5|seed{seed}"
+        bitmap = trial.to_bitmap_json_dict(small)
+        assert SelectionTrial.from_bitmap_json_dict(bitmap, small).selected.label == f"1..5|seed{seed}"
+    refusal = "seed of a selection from '1..5': element 1 of 1 has 4301 digits, past the 4300"
+    big_seed = {**bitmap, "seed": BIG}
+    for make in (lambda: L.select(small, everything, BIG), lambda: SelectionTrial.from_bitmap_json_dict(big_seed, small)):
+        with pytest.raises(ValueError, match=refusal) as err:
+            make()
+        assert _WRITE_LIMIT_HINT not in str(err.value)

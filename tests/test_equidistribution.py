@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,8 @@ from lacunary import (
 )
 from lacunary.equidistribution import (
     _fast_grid_size,
+    _grid_sup,
+    _grid_values,
     character_values,
     grid_values,
     is_excluded,
@@ -555,6 +558,48 @@ def test_grid_values_equal_loop_reference():
     spectrum = {-3: 1.0, 2: -0.5 + 0.25j, 61: 2.0, 3**50: 0.1, -(3**45): -0.3j, 125: 1 / 3}
     for M in (64, 7, 1):
         assert np.array_equal(grid_values(spectrum, M), _loop_grid_values(spectrum, M))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def test_grid_fill_is_the_loop_bit_for_bit():
+    # bin 0 of 64 gets only -0.0, which sums to +0.0 from the loop's +0.0 start;
+    # bins 5 and 2 collect terms in input order, one with a -0.0 imaginary part
+    spectrum = {
+        69: -0.0, 5: 3.0, -59: -3.0, 64: -0.0, 2: complex(0.5, -0.0), 66: -0.25 + 1e-300j, 3**50: 0.1, -(3**45): -0.3j
+    }
+    freqs = list(spectrum)
+    coeffs = np.array(list(spectrum.values()), dtype=complex)
+    for M in (64, 7, 1, 1 << 10):
+        expected = _bits(_loop_grid_values(spectrum, M))
+        assert _bits(grid_values(spectrum, M)) == expected
+        assert _bits(_grid_values(np.array(freqs, dtype=object), coeffs, M)) == expected
+    # int64 frequencies and real coefficients, as psi passes them, colliding and with -0.0
+    rng = np.random.default_rng(3)
+    freqs = np.unique(rng.integers(-5000, 5000, 900))
+    real = rng.standard_normal(len(freqs))
+    real[::7] = -0.0
+    for M in (125, 1000, 3 * 5**4):
+        assert len(set((freqs % M).tolist())) < len(freqs)  # bins collide
+        assert _bits(_grid_values(freqs, real, M)) == _bits(_loop_grid_values(dict(zip(freqs.tolist(), real)), M))
+    assert _bits(grid_values({}, 8)) == _bits(np.zeros(8))
+
+
+def test_grid_sup_keeps_one_grid_sized_complex_array():
+    # at M = 2^20 the grid is 16 MiB; the fill and the transform reuse it, and only
+    # one 8 MiB part and the 8 MiB moduli pass beside it
+    E = generate_primes(1 << 18)
+    freqs, coeffs = E.array, np.linspace(-1.0, 1.0, len(E))
+    tracemalloc.start()
+    try:
+        report = _grid_sup(freqs, coeffs, E.max_abs, 1 << 20, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.grid_size == 1 << 20 and report.certified
+    assert peak < 32 << 20
 
 
 def test_psi_series_diagnostics():

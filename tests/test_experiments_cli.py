@@ -391,6 +391,24 @@ def test_unwritable_elements_refused_in_the_programs_terms(tmp_path, capsys, par
     assert names in err and "4300 digits" in err and _WRITE_LIMIT_HINT not in err
 
 
+@pytest.mark.parametrize("command", ["independence", "pipeline"])
+def test_unreadable_integer_literal_refused_naming_the_document(tmp_path, capsys, command):
+    # 5,000 digits, past the 4,300 that Python reads in decimal
+    big = "7" * 5000
+    if command == "independence":
+        (tmp_path / "set.json").write_text(f'{{"elements": [1, {big}]}}')
+        argv, names = ["independence", "--set", str(tmp_path / "set.json"), "--s", "2"], "IntegerSet JSON"
+    else:
+        text = small_cert_config(source={"kind": "integers", "n_max": 2048}).to_json()
+        assert text.count("2048") == 1
+        (tmp_path / "cfg.json").write_text(text.replace("2048", big))
+        argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path), "pipeline", "certify"]
+        names = "ExperimentConfig JSON"
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert f"{names}: an integer literal has more than 4300 digits" in err and _WRITE_LIMIT_HINT not in err
+
+
 def test_set_writers_name_the_set_and_the_element():
     E = IntegerSet((1, 3**9013), "big")
     for write in (E.to_json_dict, E.to_lines):

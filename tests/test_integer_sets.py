@@ -2,11 +2,13 @@ import cmath
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lacunary import (
     CirclePoint,
@@ -31,10 +33,10 @@ from lacunary import (
 )
 from lacunary._util import ln_int
 from lacunary.equidistribution import _grid_values
-from lacunary.integer_sets import INT64_SAFE
+from lacunary.integer_sets import INT64_SAFE, NUMPY_ORDER_CHECK, _abs_order_key
 from lacunary.relations import _search_reps
 
-from _oracles import is_prime_trial_division, naive_s_independent, relations_grouped
+from _oracles import bytearray_sieve_primes, is_prime_trial_division, naive_s_independent, relations_grouped
 from test_equidistribution import _loop_grid_values, _psi_dict_spectrum
 
 
@@ -91,6 +93,64 @@ def test_primes_match_trial_division():
     sieved = set(generate_primes(2000).elements)
     for n in range(2001):
         assert (n in sieved) == is_prime_trial_division(n)
+
+
+def test_numpy_sieve_matches_the_bytearray_sieve():
+    for limit in (*range(2001), 2**16):
+        assert generate_primes(limit).elements == bytearray_sieve_primes(limit), limit
+    assert {type(p) for p in generate_primes(2**16)} == {int}
+
+
+_ORDER_MESSAGE = "elements must be duplicate-free and sorted by |n| (negative first on ties)"
+# magnitudes on either side of INT64_SAFE, where the numpy check hands over to
+# the interpreted one, and 2^63, whose negation is the one int64 with no |n|
+_NEAR_SAFE = (INT64_SAFE - 2, INT64_SAFE - 1, INT64_SAFE, INT64_SAFE + 1, 1 << 63)
+
+
+@st.composite
+def _long_int64_orders(draw):
+    """A set of at least NUMPY_ORDER_CHECK int64 elements in (|n|, n) order,
+    with 0 and a +-n tie, then perhaps one flaw: a duplicate, an out-of-order
+    pair, a tie in the wrong order, the largest element moved to the front
+    (where a key wrapped past int64 would read as smallest), or a shuffle."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # the bulk of the set, drawn outside hypothesis's data
+    scale = draw(st.sampled_from([300, 1 << 40, INT64_SAFE - 3]))
+    size = draw(st.integers(NUMPY_ORDER_CHECK, NUMPY_ORDER_CHECK + 40))
+    mags = {0, 1, *draw(st.sets(st.sampled_from(_NEAR_SAFE)))}
+    while len(mags) < size:
+        mags.add(rnd.randrange(2, scale))
+    elems = [0, -1, 1]  # 1 and -1 tie
+    for m in mags - {0, 1}:
+        elems += [-m] if m == 1 << 63 else rnd.choice(([m], [-m], [-m, m]))
+    elems.sort(key=_abs_order_key)
+    i = rnd.randrange(len(elems) - 1)
+    flaw = draw(st.sampled_from(["none", "duplicate", "swap", "tie", "front", "shuffle"]))
+    if flaw == "duplicate":
+        elems.insert(i, elems[i])
+    elif flaw == "swap":
+        elems[i], elems[i + 1] = elems[i + 1], elems[i]
+    elif flaw == "tie":
+        j = rnd.choice([j for j in range(len(elems) - 1) if elems[j] == -elems[j + 1] != 0])
+        elems[j], elems[j + 1] = elems[j + 1], elems[j]
+    elif flaw == "front":
+        elems.insert(0, elems.pop())
+    elif flaw == "shuffle":
+        rnd.shuffle(elems)
+    return tuple(elems)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_long_int64_orders())
+@example((INT64_SAFE, *range(1, NUMPY_ORDER_CHECK)))  # 2^63 + 1 as a key wraps to the least int64
+@example((-(1 << 63), *range(1, NUMPY_ORDER_CHECK)))  # the one int64 whose np.abs is negative
+@example((-(INT64_SAFE - 1), *range(1, NUMPY_ORDER_CHECK)))  # in range: the numpy check refuses it itself
+def test_numpy_order_check_agrees_with_the_abs_key_rule(elems):
+    assert len(elems) >= NUMPY_ORDER_CHECK
+    if all(map(lambda a, b: _abs_order_key(a) < _abs_order_key(b), elems, elems[1:])):
+        assert IntegerSet(elems).elements == elems
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(_ORDER_MESSAGE)}$"):
+            IntegerSet(elems)
 
 
 def test_geometric_examples():
