@@ -82,15 +82,16 @@ class Doc:
         return json.dumps(self.to_json_dict(), indent=indent)
 
     @classmethod
-    def from_json(cls, text: str, *args):
+    def from_json(cls, text: str | bytes, *args):
         """The document in `text`. Python reads at most
         sys.get_int_max_str_digits() digits of an integer literal (4300 by
-        default), so a longer one is refused naming the document."""
+        default), so a longer one is refused naming the document; malformed
+        JSON and undecodable bytes keep json.loads's own errors."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError:
-            raise
-        except ValueError:
+        except ValueError as err:
+            if "integer string conversion" not in str(err):
+                raise
             raise ValueError(
                 f"{cls.__name__} JSON: an integer literal has more than {sys.get_int_max_str_digits()} digits,"
                 " the most that can be read in decimal"

@@ -155,3 +155,16 @@ def test_selection_label_writes_its_seed_in_decimal():
         with pytest.raises(ValueError, match=refusal) as err:
             make()
         assert _WRITE_LIMIT_HINT not in str(err.value)
+
+
+def test_only_a_long_integer_literal_is_refused_in_the_readers_terms():
+    too_long = "IntegerSet JSON: an integer literal has more than 4300 digits"
+    for text in ('{"elements": [1, ' + "7" * 5000 + "]}", b'{"elements": [1, ' + b"7" * 5000 + b"]}"):
+        with pytest.raises(ValueError, match=too_long):
+            IntegerSet.from_json(text)
+    # malformed JSON and bytes that are not UTF-8 keep json.loads's own errors
+    with pytest.raises(json.JSONDecodeError):
+        IntegerSet.from_json('{"elements": [1,')
+    with pytest.raises(UnicodeDecodeError):
+        IntegerSet.from_json(b"\xff")
+    assert IntegerSet.from_json(b'{"elements": [1, 2]}').elements == (1, 2)
