@@ -1,12 +1,12 @@
 """Weyl means, grid-certified sup norms, selection discrepancy, the
 Bernstein tail bound, and summing-matrix regularity checks.
 
-Circle points are either exact rationals a/q of a full turn (characters are
-evaluated through bignum residues n*a mod q) or float angles theta = num/2^b,
-whose phase n*num mod 2^b is exact before one float rounding, so huge
-frequencies lose no accuracy. On an int64 set with b <= 64 the phases are
-the low b bits of a wrapping uint64 product; otherwise each n is reduced to
-its low b bits before a Python multiply.
+Circle points are exact rationals a/q of a full turn, whose characters come
+from exact residues n*a mod q (through a table of the q values when q <= k),
+or float angles theta = num/2^b, whose phase n*num mod 2^b is exact before
+one float rounding, so huge frequencies lose no accuracy. With b <= 64 the
+phases are, on any set, the low b bits of a wrapping uint64 product; past
+64 bits each n is cut to its low b bits before a Python multiply.
 """
 
 from __future__ import annotations
@@ -102,16 +102,21 @@ def character_values(E: IntegerSet | Sequence[int], point: CirclePoint, k: int |
     if point.kind == "rational":
         a, q = point.a, point.q
         if k and abs(E.elements[k - 1]) * a >= INT64_SAFE:
-            arr = arr.astype(object)
+            # n mod q first, so the product below stays under q*a
+            arr = (arr % q).astype(np.int64 if (q - 1) * a < INT64_SAFE else object)
         residues = (arr * a % q).astype(np.int64, copy=False)
-        vals = np.exp((2j * np.pi / q) * residues)
-        return _quarter_exact(vals, residues, q)
+        # at most q distinct residues: when q <= k, evaluate each once and
+        # gather; np.exp sees the same inputs, so the values are the same
+        steps = np.arange(q) if q <= k else residues
+        vals = _quarter_exact(np.exp((2j * np.pi / q) * steps), steps, q)
+        return vals[residues] if q <= k else vals
     num, den = point.theta.as_integer_ratio()
     mask = den - 1  # den = 2^b, so n*num mod den is the low b bits of n*num
-    if arr.dtype == np.int64 and den <= 1 << 64:
+    if den <= 1 << 64:
         # the uint64 product wraps mod 2^64, two's complement covers n < 0,
         # and the float conversion rounds once, as int / int does
-        phases = arr.view(np.uint64) * np.uint64(num) & np.uint64(mask)
+        low = arr.view(np.uint64) if arr.dtype == np.int64 else (arr & mask).astype(np.uint64)
+        phases = low * np.uint64(num) & np.uint64(mask)
         fracs = phases.astype(np.float64) / float(den)
     else:
         # cutting n to its low b bits first keeps each product below 2^(2b)
@@ -231,10 +236,12 @@ def _grid_values(freqs: np.ndarray, coeffs: np.ndarray, grid_size: int) -> np.nd
     # bincount starts each bin at +0.0 and adds its weights in input order, as
     # a term-by-term loop into a zeroed grid does (complex addition adds the
     # parts apart): colliding bins sum in the loop's order, and a lone -0.0
-    # lands on +0.0 both ways, so the grid is the loop's bit for bit
-    arr = np.empty(grid_size, dtype=complex)
+    # lands on +0.0 both ways, so the grid is the loop's bit for bit (real
+    # coefficients, psi's, leave the imaginary parts at +0.0)
+    arr = np.zeros(grid_size, dtype=complex)
     arr.real = np.bincount(bins, coeffs.real, grid_size)
-    arr.imag = np.bincount(bins, coeffs.imag, grid_size)
+    if np.iscomplexobj(coeffs):
+        arr.imag = np.bincount(bins, coeffs.imag, grid_size)
     # in place: no second grid-sized array for the transform or the scaling
     np.fft.ifft(arr, out=arr)
     arr *= grid_size

@@ -230,6 +230,7 @@ class SelectionTrial(Doc):
     source_label: str = ""
 
     def to_json_dict(self) -> dict:
+        decimal_strs([self.seed], f"seed of trial of {self.source_label!r}")  # refused naming the trial
         doc: dict = {
             "schema": 1,
             "seed": self.seed,
@@ -269,6 +270,7 @@ class SelectionTrial(Doc):
     def to_bitmap_json_dict(self, E: IntegerSet) -> dict:
         """Compact form: one bit per source element, plus the source digest."""
         flags = self.mask(E)
+        decimal_strs([self.seed], f"seed of trial of {E.label!r}")  # refused naming the trial
         return {
             "schema": 1,
             "format": "bitmap",

@@ -157,6 +157,20 @@ def test_selection_label_writes_its_seed_in_decimal():
         assert _WRITE_LIMIT_HINT not in str(err.value)
 
 
+
+def test_trial_writers_refuse_an_unwritable_seed_naming_the_trial():
+    small = L.generate_integers(5)
+    picked = IntegerSet((1, 3))
+    # a seed of 4,300 digits is written as the bare JSON integer it always was
+    fits = SelectionTrial(seed=10**4299, selected=picked, source_size=5, source_label="1..5")
+    assert fits.to_json_dict()["seed"] == fits.to_bitmap_json_dict(small)["seed"] == 10**4299
+    assert '"seed": 1' + "0" * 4299 + "," in fits.to_json()
+    big = SelectionTrial(seed=BIG, selected=picked, source_size=5, source_label="1..5")
+    for write in (big.to_json_dict, lambda: big.to_bitmap_json_dict(small)):
+        with pytest.raises(ValueError, match="seed of trial of '1..5': element 1 of 1 has 4301 digits, past the 4300") as err:
+            write()
+        assert _WRITE_LIMIT_HINT not in str(err.value)
+
 def test_only_a_long_integer_literal_is_refused_in_the_readers_terms():
     too_long = "IntegerSet JSON: an integer literal has more than 4300 digits"
     for text in ('{"elements": [1, ' + "7" * 5000 + "]}", b'{"elements": [1, ' + b"7" * 5000 + b"]}"):

@@ -178,6 +178,40 @@ def test_angle_characters_match_the_integer_loop(set_and_k, theta):
     assert np.array_equal(character_values(E, p, k), _angle_characters_by_loop(E, p.theta, k))
 
 
+
+def _rational_characters_by_loop(E: IntegerSet, a: int, q: int, k: int) -> np.ndarray:
+    # each residue n*a mod q as a Python int, np.exp over all of them, then the
+    # four quarter-turn characters pinned to their exact values
+    residues = np.array([n * a % q for n in E.elements[:k]], dtype=np.int64)
+    vals = np.exp((2j * np.pi / q) * residues)
+    pins = [(0, 1.0)] + [(q // 2, -1.0)] * (q % 2 == 0) + [(q // 4, 1j), (3 * q // 4, -1j)] * (q % 4 == 0)
+    for step, exact in pins:
+        vals[residues == step] = exact
+    return vals
+
+
+_DENOMINATORS = st.one_of(
+    st.integers(1, 12),  # below k on most drawn sets: the table path
+    st.integers(1, 30).map(lambda m: 4 * m),  # quarter turns pinned
+    st.integers(13, 2**31),
+    st.integers(2**31, 2**62),  # (q - 1) * a past int64: the reduced product goes through object
+    st.just(2**63 - 1),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_character_sets(), _DENOMINATORS, st.integers(0, 2**63))
+@example((generate_polynomial([0, 0, 1], 3000), 3000), 997, 123)
+@example((generate_polynomial([0, 0, 1], 3000), 1500), 2**63 - 1, 2**62 + 1)
+@example((generate_geometric(3, 300), 300), 68, 5)
+@example((generate_geometric(3, 300), 300), 2**63 - 1, 3)
+@example((IntegerSet((0, -_INT64_EDGE, _INT64_EDGE)), 3), 2**63 - 1, 2**63 - 2)
+@example((IntegerSet((0, -4, 4, -8, 8)), 5), 4, 1)
+def test_rational_characters_match_the_integer_loop(set_and_k, q, a):
+    E, k = set_and_k
+    p = CirclePoint.rational(a, q)
+    assert character_values(E, p, k).tobytes() == _rational_characters_by_loop(E, p.a, p.q, k).tobytes()
+
 # SHA-256 of WeylReport and ScanReport JSON, taken when every angle phase was
 # reduced by the integer loop above. They hash np.exp and summation output,
 # so they hold for one numpy build (2.4.6 on x86-64).
