@@ -2,7 +2,8 @@
 Bernstein tail bound, and summing-matrix regularity checks.
 
 Circle points are exact rationals a/q of a full turn, whose characters come
-from exact residues n*a mod q (through a table of the q values when q <= k),
+from exact residues n*a mod q (through a table of the q values when q <= k;
+the points of one call reduce a bignum set once per group of moduli),
 or float angles theta = num/2^b, whose phase n*num mod 2^b is exact before
 one float rounding, so huge frequencies lose no accuracy. With b <= 64 the
 phases are, on any set, the low b bits of a wrapping uint64 product; past
@@ -12,11 +13,12 @@ phases are, on any set, the low b bits of a wrapping uint64 product; past
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +32,8 @@ DEFAULT_GRID_CAP = 1 << 20
 EXCLUSION_DENOMINATOR = 16
 EXCLUSION_RADIUS_SCALE = 0.05
 _EXCLUSION_JSON = {"denominator_cap": EXCLUSION_DENOMINATOR, "radius_scale": EXCLUSION_RADIUS_SCALE}
+# a modulus below one CPython digit keeps a bignum % on its single-digit path
+_DIGIT = 1 << sys.int_info.bits_per_digit
 
 
 @dataclass(frozen=True)
@@ -98,19 +102,55 @@ def character_values(E: IntegerSet | Sequence[int], point: CirclePoint, k: int |
     k = len(E) if k is None else k
     if not 0 <= k <= len(E):
         raise ValueError("k must satisfy 0 <= k <= |E|")
+    return next(_characters(E, (point,), k))
+
+
+def _characters(E: IntegerSet, points: Sequence[CirclePoint], k: int) -> Iterator[np.ndarray]:
+    """The characters of the first k elements of E at each point in turn.
+
+    A rational a/q whose |n_k|*a reaches INT64_SAFE takes n mod q before the
+    multiply. On an object array those q, in increasing order, are packed
+    greedily into groups whose lcm stays below one CPython digit, where a
+    bignum % takes its single-digit path: the set is reduced once per group,
+    and each point takes % q of the group's exact residues."""
     arr = E.array[:k]
-    if point.kind == "rational":
-        a, q = point.a, point.q
-        if k and abs(E.elements[k - 1]) * a >= INT64_SAFE:
-            # n mod q first, so the product below stays under q*a
-            arr = (arr % q).astype(np.int64 if (q - 1) * a < INT64_SAFE else object)
-        residues = (arr * a % q).astype(np.int64, copy=False)
+    top = abs(E.elements[k - 1]) if k else 0
+    wide = [p.kind == "rational" and top * p.a >= INT64_SAFE for p in points]
+    moduli, group = [1], {}  # on an object array, q -> the index of its group's lcm
+    if arr.dtype == object:
+        for q in sorted({p.q for p, w in zip(points, wide) if w}):
+            if math.lcm(moduli[-1], q) >= _DIGIT:
+                moduli.append(1)
+            moduli[-1] = math.lcm(moduli[-1], q)
+            group[q] = len(moduli) - 1
+    # a group's residues are kept until its last point
+    last = {group[p.q]: i for i, (p, w) in enumerate(zip(points, wide)) if w and p.q in group}
+    reduced: dict[int, np.ndarray] = {}
+    for i, (p, w) in enumerate(zip(points, wide)):
+        if p.kind == "angle":
+            yield _angle_characters(E, arr, p.theta, k)
+            continue
+        a, q = p.a, p.q
+        n = arr
+        if w and q in group:
+            g = group[q]
+            if g not in reduced:
+                reduced[g] = (arr % moduli[g]).astype(np.int64)
+            n = (reduced.pop(g) if i == last[g] else reduced[g]) % q
+        elif w:
+            n = arr % q
+        if w and (q - 1) * a >= INT64_SAFE:
+            n = n.astype(object)  # the product below stays under q*a
+        residues = (n * a % q).astype(np.int64, copy=False)
         # at most q distinct residues: when q <= k, evaluate each once and
         # gather; np.exp sees the same inputs, so the values are the same
         steps = np.arange(q) if q <= k else residues
         vals = _quarter_exact(np.exp((2j * np.pi / q) * steps), steps, q)
-        return vals[residues] if q <= k else vals
-    num, den = point.theta.as_integer_ratio()
+        yield vals[residues] if q <= k else vals
+
+
+def _angle_characters(E: IntegerSet, arr: np.ndarray, theta: float, k: int) -> np.ndarray:
+    num, den = theta.as_integer_ratio()
     mask = den - 1  # den = 2^b, so n*num mod den is the low b bits of n*num
     if den <= 1 << 64:
         # the uint64 product wraps mod 2^64, two's complement covers n < 0,
@@ -176,7 +216,7 @@ def weyl_means(E: IntegerSet, k: int, points: Sequence[CirclePoint]) -> WeylRepo
         raise ValueError("k must satisfy 1 <= k <= |E|")
     # divide in Python: complex / int stays exact for real sums, where
     # numpy's vectorized complex division would round 49/49 past 1.0
-    values = tuple(complex(character_values(E, p, k).sum()) / k for p in points)
+    values = tuple(complex(vals.sum()) / k for vals in _characters(E, points, k))
     excluded = tuple(is_excluded(p, k) for p in points)
     return WeylReport(k, tuple(points), values, excluded, _max_off_exclusion([abs(v) for v in values], excluded))
 
@@ -214,8 +254,9 @@ def equidistribution_scan(E: IntegerSet, ks: Sequence[int], points: Sequence[Cir
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1 or ks[-1] > len(E):
         raise ValueError("checkpoints must lie in 1..|E|")
-    cumsums = [np.cumsum(character_values(E, p, ks[-1])) for p in points]
-    moduli = tuple(tuple(float(abs(cs[k - 1])) / k for cs in cumsums) for k in ks)
+    # one point's running sums at a time, not a list of all of them
+    columns = [[float(abs(cs[k - 1])) / k for k in ks] for cs in map(np.cumsum, _characters(E, points, ks[-1]))]
+    moduli = tuple(tuple(col[i] for col in columns) for i in range(len(ks)))
     maxima = tuple(_max_off_exclusion(row, [is_excluded(p, k) for p in points]) for k, row in zip(ks, moduli))
     defined = [m for m in maxima if m is not None]
     trend = decreasing = None

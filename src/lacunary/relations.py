@@ -7,8 +7,9 @@ identity relation and is excluded). A set is s-independent when no relation
 vanishes on any tuple of distinct elements. All arithmetic is exact.
 
 One kernel searches for witnesses: it joins a table of inner index tuples to
-a walk over outer ones on residues mod the prime P, and verifies each match
-in exact integers. Both are built in chunks of the lexicographic product
+a walk over outer ones on residues mod the prime P, counts each target's
+matches from a run-end array over the sorted inner sums, and verifies each
+match in exact integers. Both are built in chunks of the lexicographic product
 table of indices, cut to distinct indices, so MITM_MEMORY_BUDGET, counting
 kept rows, bounds a search's memory. A witness is the first under one of two
 orders: the lexicographic order on the whole tuple while perm(n, m - 1) <=
@@ -256,9 +257,11 @@ def _join(coeffs: tuple[int, ...], elems: Sequence[int], h: int, lex: bool, res=
     key (outer indices, inner indices): outer positions are [0, h) when `lex`
     (0 <= h < m: the lexicographic order), else [h, m) (0 < h < m). Both tables
     are walked _ROWS product rows at a time; only kept inner rows, which the
-    memory budget counts, outlive a chunk. Inner sums are sorted stably; matches
-    of each outer chunk are expanded in batches, cleared of shared indices and
-    verified exactly (a relation vanishes mod P; a match may not)."""
+    memory budget counts, outlive a chunk. Inner sums are sorted stably, with
+    an int32 run end per row, so a target found at its run's first row counts
+    its matches by one lookup; matches of each outer chunk are expanded in
+    batches, cleared of shared indices and verified exactly (a relation
+    vanishes mod P; a match may not)."""
     outer_c, inner_c = (coeffs[:h], coeffs[h:]) if lex else (coeffs[h:], coeffs[:h])
     n, res = len(elems), _Residues(elems) if res is None else res
     parts = list(_chunks(n, inner_c))
@@ -269,12 +272,17 @@ def _join(coeffs: tuple[int, ...], elems: Sequence[int], h: int, lex: bool, res=
         return _first_exact(coeffs, elems, inner[(sums == 0).nonzero()[0]])
     order = sums.argsort(kind="stable")
     sums, neg = sums[order], tuple(-c for c in outer_c)
+    # one past the run of equal sums through each row: a row inside a run
+    # takes the run's last row + 1 by a running minimum from the end
+    run_end = np.arange(1, len(sums) + 1, dtype=np.int32)
+    run_end[:-1][sums[1:] == sums[:-1]] = len(sums)
+    np.minimum.accumulate(run_end[::-1], out=run_end[::-1])
     for outer in _chunks(n, neg):
         target = _sums(res, neg, outer)
         lo = sums.searchsorted(target)
         rows = (sums[np.minimum(lo, len(sums) - 1)] == target).nonzero()[0]
         lo = lo[rows]
-        cnt = sums.searchsorted(target[rows], side="right") - lo
+        cnt = run_end[lo] - lo
         ends, matches = cnt.cumsum(), int(cnt.sum())
         for first in range(0, matches, _BATCH):
             f = np.arange(first, min(first + _BATCH, matches))

@@ -265,6 +265,40 @@ def test_weyl_and_scan_json_pinned(set_name, points_name):
     assert got == _PINNED_WEYL_DIGESTS[set_name, points_name]
 
 
+# Rational points whose wide moduli pack into one, two and three residue
+# groups under 30-bit digits: 5*7*17*997 < 2^30; 90, 174, 252 and 524 share
+# factors, so their lcm fits one digit though their product does not; 187,
+# 211 and 543 fit one but not 683; no three of 30011..30059 fit one. 7 and
+# 187 appear under two numerators, 997 exceeds the short prefixes, and
+# (q - 1)*a passes INT64_SAFE at q = 2^63 - 25, which takes a group alone.
+_GROUPED_POINTS = {
+    "one": ("1/5", "3/7", "5/7", "0.1234567", "5/17", "123/997"),
+    "lcm": ("1/90", "5/174", "0.7429817379752773", "1/252", "3/524"),
+    "two": ("128/211", "682/683", "0.8620058043861345", "217/543", "168/187", "1/187"),
+    "three": ("1/30011", "2/30013", "1e-09", "3/30029", "4/30047", "5/30059"),
+    "object": ("1/5", f"{2**62 + 1}/{2**63 - 25}", "0.41421356237309515", "2/5"),
+}
+_GROUPED_SETS = {
+    "powers": lambda: generate_geometric(3, 300),
+    "signed": lambda: IntegerSet.from_iterable([0] + [(-3) ** j for j in range(1, 301)]),
+}
+
+
+@pytest.mark.parametrize("set_name", sorted(_GROUPED_SETS))
+@pytest.mark.parametrize("points_name", sorted(_GROUPED_POINTS))
+def test_grouped_residues_match_a_per_point_character_loop(set_name, points_name):
+    E = _GROUPED_SETS[set_name]()
+    points = [CirclePoint.parse(t) for t in _GROUPED_POINTS[points_name]]
+    # at k = 30 only the large numerators push |n_k|*a past INT64_SAFE
+    for k in (30, len(E)):
+        want = [complex(character_values(E, p, k).sum()) / k for p in points]
+        assert np.array(weyl_means(E, k, points).values).tobytes() == np.array(want).tobytes()
+    for ks in ([10, 30], [len(E) * i // 4 for i in range(1, 5)]):
+        sums = [np.cumsum(character_values(E, p, ks[-1])) for p in points]
+        want = [[float(abs(cs[k - 1])) / k for cs in sums] for k in ks]
+        assert np.array(equidistribution_scan(E, ks, points).moduli).tobytes() == np.array(want).tobytes()
+
+
 def test_circle_point_residues_must_fit_int64():
     with pytest.raises(ValueError, match="fit int64"):
         CirclePoint.parse("1/99999999999999999989")

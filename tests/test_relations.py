@@ -389,6 +389,32 @@ def test_both_orders_match_the_earlier_searches_at_every_split(data):
             relations._first_tuples.cache_clear()
 
 
+@pytest.mark.parametrize("scale", [1, 3**45], ids=["1", "3^45"])
+@pytest.mark.parametrize("s, n", [(2, 40), (3, 24)])
+@pytest.mark.parametrize("rows, batch", [(7, 5), (2, 1)])
+def test_witnesses_through_long_runs_of_equal_sums(scale, s, n, rows, batch):
+    # on a progression many inner tuples share a sum, so a matched target's
+    # run of sorted sums spans chunk and batch ends, and its first rows share
+    # indices with the outer tuple
+    elems = IntegerSet.from_iterable(q * scale for q in range(1, n + 1)).elements
+    members = frozenset(elems)
+    with mock.patch.object(relations, "_ROWS", rows), mock.patch.object(relations, "_BATCH", batch):
+        relations._first_tuples.cache_clear()
+        try:
+            for rep in _search_reps(s):
+                for coeffs in (rep, rep[::-1]):
+                    m = len(coeffs)
+                    want = _oracles._dfs_witness(coeffs, elems, members)
+                    assert _dfs_witness(coeffs, elems) == want
+                    # inner tables of one and two positions keep the walk short
+                    for h in range(max(m - 2, 0), m):
+                        assert _join(coeffs, elems, h, True) == want
+                    for h in (1, 2):
+                        assert _mitm_witness(coeffs, elems, h) == _oracles._mitm_witness(coeffs, elems, h)
+        finally:
+            relations._first_tuples.cache_clear()
+
+
 def test_independence_reports_match_the_earlier_searches_on_every_path():
     # sets large enough that the budgets pick each order: int64 sets past the
     # brute-force budget at lengths 3 and 4, bignum sets at a meet-in-the-middle
