@@ -590,6 +590,7 @@ def summing_matrix_check(schedule: DensitySchedule, ks: Sequence[int] | None = N
     rows: list[dict] = []
     skipped: list[int] = []
     ok = True
+    densities = schedule.densities
     for k in ks:
         if not 1 <= k <= K:
             raise ValueError("row index out of range")
@@ -597,14 +598,13 @@ def summing_matrix_check(schedule: DensitySchedule, ks: Sequence[int] | None = N
         if sigma_k == 0:
             skipped.append(k)
             continue
-        dens = schedule.densities[:k]
-        coeffs = [d / sigma_k for d in dens]
+        coeffs = [d / sigma_k for d in densities[:k]]
         row_sum = sum(coeffs, Fraction(0))
         variation = Fraction(0)
         for j in range(1, k + 1):
             nxt = coeffs[j] if j < k else Fraction(0)
             variation += j * abs(coeffs[j - 1] - nxt)
-        nonincreasing = all(a >= b for a, b in zip(dens, dens[1:]))
+        nonincreasing = all(a >= b for a, b in zip(densities[:k], densities[1:k]))
         row_ok = row_sum == 1 and variation == 1
         ok = ok and row_ok
         row_sum_text, variation_text = fraction_strs([row_sum, variation], f"summing-matrix row {k}")

@@ -1,4 +1,5 @@
-"""Random selector machinery: density schedules, reproducible counter-based
+"""Random selector machinery: density schedules (stored as constant-density
+segments, their per-element densities derived), reproducible counter-based
 selection, and Monte Carlo validation of the dependence probability bound.
 
 Selection of element i under seed s is a pure function of (s, i): a
@@ -13,7 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from typing import Sequence
 
 import numpy as np
@@ -74,52 +75,59 @@ class BlockDensity:
     start: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DensitySchedule(Doc):
-    elements: tuple[int, ...]
-    densities: tuple[Fraction, ...]
-    blocks: tuple[BlockDensity, ...] | None = None
-    kind: str = "custom"
-    diagnostics: dict | None = field(default=None, compare=False)
-    segments: tuple[tuple[int, int, Fraction], ...] = field(init=False, compare=False, repr=False)
+    """A density per element of `elements`, stored as its maximal constant
+    runs: `segments` holds (start, size, delta), size >= 1, in order, no two
+    neighbours equal. It is built from one density per element, one run per
+    run of a shared object; `densities`, that per-element view, is derived."""
 
-    def __post_init__(self) -> None:
-        if len(self.elements) != len(self.densities):
+    elements: tuple[int, ...]
+    segments: tuple[tuple[int, int, Fraction], ...]
+    blocks: tuple[BlockDensity, ...] | None
+    kind: str
+    diagnostics: dict | None = field(compare=False)
+
+    def __init__(self, elements, densities, blocks=None, kind="custom", diagnostics=None) -> None:
+        runs = [list(run) for _, run in groupby(densities, key=id)]
+        self._set(elements, [(len(run), run[0]) for run in runs], blocks, kind, diagnostics)
+
+    def _set(self, elements, runs: list[tuple[int, Fraction]], blocks, kind: str, diag) -> "DensitySchedule":
+        # every schedule is built here from (size, delta) runs: each delta is checked
+        # once, and equal neighbours merge, so equal schedules hold equal segments
+        if any(size < 0 for size, _ in runs) or sum(size for size, _ in runs) != len(elements):
             raise ValueError("schedule entries must align one density per element")
-        # every schedule is piecewise constant: each run of one shared density
-        # object is a (start, size, delta) segment, its delta checked once
-        segments: list[tuple[int, int, Fraction]] = []
-        dens: list[Fraction] = []
-        for _, run in groupby(self.densities, key=id):
-            run = list(run)
-            delta = _as_density(run[0])
-            segments.append((len(dens), len(run), delta))
-            dens.extend(repeat(delta, len(run)))
-        object.__setattr__(self, "densities", tuple(dens))
-        object.__setattr__(self, "segments", tuple(segments))
+        segs: list[tuple[int, int, Fraction]] = []
+        for start, (size, delta) in zip(accumulate((size for size, _ in runs), initial=0), runs):
+            delta = _as_density(delta)
+            if segs and segs[-1][2] == delta:
+                segs[-1] = (segs[-1][0], segs[-1][1] + size, delta)
+            elif size:
+                segs.append((start, size, delta))
+        # frozen, so set past __setattr__; _sigma, sigma_at's memo, is no field
+        vars(self).update(elements=elements, segments=tuple(segs), blocks=blocks, kind=kind, diagnostics=diag, _sigma={})
+        return self
+
+    @property
+    def densities(self) -> tuple[Fraction, ...]:
+        return tuple(chain.from_iterable(repeat(delta, size) for _, size, delta in self.segments))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def sigma_at(self, k: int) -> Fraction:
-        """Exact partial sum of the first k densities."""
+        """Exact partial sum of the first k densities, remembered per k."""
         if not 0 <= k <= len(self.elements):
             raise ValueError("sigma index out of range")
-        total = Fraction(0)
-        for start, size, delta in self.segments:
-            if start >= k:
-                break
-            total += min(size, k - start) * delta
-        return total
+        if k not in self._sigma:
+            parts = (min(size, k - start) * delta for start, size, delta in self.segments if start < k)
+            self._sigma[k] = sum(parts, Fraction(0))
+        return self._sigma[k]
 
     def density_floats(self) -> np.ndarray:
         """float(delta_j) for every element, one conversion per segment."""
         values = np.array([float(delta) for _, _, delta in self.segments], dtype=np.float64)
         return np.repeat(values, np.array([size for _, size, _ in self.segments], dtype=np.int64))
-
-    def sigma_float(self) -> np.ndarray:
-        """Approximate partial sums sigma_1..sigma_K for diagnostics."""
-        return np.cumsum(self.density_floats())
 
     def aligned_with(self, E: IntegerSet) -> bool:
         return self.elements == E.elements
@@ -127,7 +135,7 @@ class DensitySchedule(Doc):
     def to_json_dict(self) -> dict:
         """Blocks and per-block sigma for a blockwise schedule, else every
         (element, density) entry and the running sigma."""
-        sig = self.sigma_float()
+        sig = np.cumsum(self.density_floats())
         name = f"the {self.kind} schedule's"
         doc: dict = {
             "schema": 1,
@@ -177,16 +185,15 @@ class DensitySchedule(Doc):
         """Each block's delta over its span, density 0 past the last. block_counts
         and the per-block sigma read start and ell, so the blocks must tile a
         prefix of `elements` in order, each with ell = delta * size."""
-        densities: list[Fraction] = []
-        for b in blocks:
-            if b.start != len(densities) or b.size < 0:
+        starts = list(accumulate((b.size for b in blocks), initial=0))
+        for b, start in zip(blocks, starts):
+            if b.start != start or b.size < 0:
                 raise ValueError(f"schedule block {b.k} (start {b.start}, size {b.size}) breaks the tiling from 0")
             if b.ell != b.delta * b.size:
                 raise ValueError(f"schedule block {b.k} has ell {b.ell}, not delta * size = {b.delta * b.size}")
-            densities.extend([b.delta] * b.size)
-        # blocks past the end of elements leave densities longer than elements, which cls refuses
-        densities.extend([Fraction(0)] * (len(elements) - len(densities)))
-        return cls(elements, tuple(densities), blocks=tuple(blocks), kind=kind, diagnostics=diagnostics)
+        # blocks past the end of elements leave a negative tail, which _set refuses
+        runs = [(b.size, b.delta) for b in blocks] + [(len(elements) - starts[-1], Fraction(0))]
+        return cls.__new__(cls)._set(elements, runs, tuple(blocks), kind, diagnostics)
 
 
 def _block_density(i: int, b: dict) -> BlockDensity:
@@ -217,8 +224,7 @@ def _digest(elements: Sequence[int], name: str) -> str:
 
 
 def uniform_schedule(E: IntegerSet, delta) -> DensitySchedule:
-    d = _as_density(delta)
-    return DensitySchedule(E.elements, (d,) * len(E), kind="uniform")
+    return DensitySchedule.__new__(DensitySchedule)._set(E.elements, [(len(E), delta)], None, "uniform", None)
 
 
 @dataclass(frozen=True)
@@ -443,45 +449,38 @@ def decreasing_density_schedule(
     else:
         raise ValueError(f"unknown schedule form {form!r}")
 
-    diag = _decrease_diagnostics(E, dens)
-    diag["form"] = form
+    sched = DensitySchedule(E.elements, tuple(dens), kind=form, diagnostics={})
+    sched.diagnostics.update(_decrease_diagnostics(E, sched), form=form)
     if form == "power_law":
-        diag["alpha"] = alpha
-    return DensitySchedule(E.elements, tuple(dens), kind=form, diagnostics=diag)
+        sched.diagnostics["alpha"] = alpha
+    return sched
 
 
-def _decrease_diagnostics(E: IntegerSet, dens: list[Fraction]) -> dict:
-    n = len(dens)
+def _decrease_diagnostics(E: IntegerSet, sched: DensitySchedule) -> dict:
+    n = len(sched)
+    dens = sched.density_floats().tolist()
     tail_start = max(1, n // 4)
     ratio_a = []
     ratio_b = []
     skipped_gaps = 0
     for k in range(tail_start, n):
-        d = float(dens[k])
         prev_abs, cur_abs = abs(E.elements[k - 1]), abs(E.elements[k])
         gap = cur_abs - prev_abs
         if gap > 0 and prev_abs > 0:
-            ratio_a.append(d * prev_abs / gap)
+            ratio_a.append(dens[k] * prev_abs / gap)
         else:
             skipped_gaps += 1
-        ratio_b.append(d * (k + 1))
-    sig = None
+        ratio_b.append(dens[k] * (k + 1))
     checkpoints = {}
-    cum = Fraction(0)
-    marks = sorted({max(1, n // 4), max(1, n // 2), n})
-    for k in range(1, n + 1):
-        cum += dens[k - 1]
-        if k in marks:
-            abs_nk = abs(E.elements[k - 1])
-            checkpoints[k] = float(cum) / ln_int(abs_nk) if abs_nk > 1 else None
-            if k == n:
-                sig = float(cum)
+    for k in sorted({max(1, n // 4), max(1, n // 2), n}):
+        abs_nk = abs(E.elements[k - 1])
+        checkpoints[k] = float(sched.sigma_at(k)) / ln_int(abs_nk) if abs_nk > 1 else None
     return {
         "tail_start": tail_start,
         "condition_a_min_ratio": min(ratio_a) if ratio_a else None,
         "condition_a_skipped_zero_gaps": skipped_gaps,
         "condition_b_min_ratio": min(ratio_b) if ratio_b else None,
-        "sigma_final": sig,
+        "sigma_final": float(sched.sigma_at(n)),
         "sigma_over_log_abs": {str(k): v for k, v in checkpoints.items()},
     }
 

@@ -749,6 +749,11 @@ def _bool_block_delta(doc):
     return doc
 
 
+def _empty_block_delta_5(doc):
+    doc["blocks"][0]["delta"] = "5"  # block 0 of the primes is empty
+    return doc
+
+
 _SELECT = ["select", "--set", "{set}", "--schedule", "{schedule}"]
 _PSI = ["psi", "--set", "{set}", "--schedule", "{schedule}", "--trial", "{trial}"]
 _INDEPENDENCE = ["independence", "--set", "{set}", "--s", "2"]
@@ -777,6 +782,7 @@ _DIGEST_ONLY = {
         pytest.param(_SELECT, "schedule", lambda doc: {"entries": 5}, "entries", id="select_schedule_entries_number"),
         pytest.param(_SELECT, "schedule", _zero_block_denominator, "blocks[1].delta", id="select_schedule_delta_over_zero"),
         pytest.param(_SELECT, "schedule", _bool_block_delta, "blocks[1].delta", id="select_schedule_delta_a_bool"),
+        pytest.param(_SELECT, "schedule", _empty_block_delta_5, "density 5 outside", id="select_schedule_empty_block_delta_5"),
         pytest.param(
             _SELECT, "schedule", lambda doc: {"entries": [["2", True]]}, "entries", id="select_schedule_entry_density_a_bool"
         ),

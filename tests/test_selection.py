@@ -252,11 +252,32 @@ def test_schedule_json_round_trips():
     assert "blocks" in doc and "sigma" in doc
     back = DensitySchedule.from_json_dict(doc, E)
     assert back.densities == sched.densities
+    assert back == sched and hash(back) == hash(sched)
 
     entries = decreasing_density_schedule(generate_integers(40), "power_law", alpha=1.0)
     back2 = DensitySchedule.from_json_dict(json.loads(entries.to_json()))
     assert back2.densities == entries.densities
     assert back2.elements == entries.elements
+    assert back2 == entries
+
+
+def test_schedule_equality_is_by_value():
+    # equal but distinct Fractions read as one run of a shared object
+    shared = DensitySchedule((1, 2, 3, 4), (Fraction(1, 3),) * 3 + (Fraction(0),))
+    distinct = DensitySchedule((1, 2, 3, 4), (Fraction(1, 3), Fraction(2, 6), Fraction(1, 3), 0))
+    assert distinct == shared and hash(distinct) == hash(shared)
+    assert distinct.segments == ((0, 3, Fraction(1, 3)), (3, 1, Fraction(0)))
+    assert distinct != DensitySchedule((1, 2, 3, 4), (Fraction(1, 3),) * 4)
+
+
+def test_schedule_stores_segments_not_densities():
+    # a blockwise schedule holds one segment per block at most, plus the tail
+    E = generate_primes(2**16)
+    D = decompose(E, dyadic_partition(16))
+    sched = blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)])
+    assert len(sched.segments) <= len(sched.blocks) + 1
+    sized = {name: len(value) for name, value in vars(sched).items() if hasattr(value, "__len__")}
+    assert [name for name, size in sized.items() if size == len(E)] == ["elements"]
 
 
 def test_schedule_json_digest_mismatch():
@@ -288,6 +309,11 @@ def _add_ell(doc, k, by):
             lambda doc: {**doc, "blocks": doc["blocks"] + [{**doc["blocks"][-1], "start": 31, "size": 16}]}, id="past_the_set"
         ),
         pytest.param(lambda doc: _add_ell(doc, 5, 2), id="ell_not_delta_times_size"),
+        # its ell agrees with delta * size, so only the length check refuses it
+        pytest.param(
+            lambda doc: {**doc, "blocks": doc["blocks"] + [{"k": 8, "ell": 0, "size": 16, "delta": "0", "start": 31}]},
+            id="past_the_set_ell_consistent",
+        ),
     ],
 )
 def test_schedule_json_blocks_must_tile(edit):
@@ -303,6 +329,18 @@ def test_schedule_json_blocks_must_tile(edit):
     assert [back.sigma_at(k) for k in range(len(E) + 1)] == [sum(back.densities[:k], Fraction(0)) for k in range(len(E) + 1)]
     with pytest.raises(ValueError):
         DensitySchedule.from_json_dict(edit(doc), E)
+
+
+@pytest.mark.parametrize("delta", ["5", "-1/2"])
+def test_schedule_json_empty_block_delta_checked(delta):
+    # block 0 of the primes holds no element, yet its delta is written back
+    E = generate_primes(200)
+    D = decompose(E, dyadic_partition(7))
+    doc = json.loads(blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)]).to_json())
+    assert doc["blocks"][0]["size"] == 0
+    doc["blocks"][0]["delta"] = delta
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        DensitySchedule.from_json_dict(doc, E)
 
 
 def test_elements_digest_pinned():
