@@ -1,5 +1,5 @@
-"""Shared helpers: bignum logarithms, decimal writing, the JSON document base, canonical JSON, JSON key and
-value checks, confidence intervals."""
+"""Shared helpers: bignum logarithms, decimal writing, the JSON document base and field writer, canonical JSON,
+JSON key and value checks, confidence intervals."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 import math
 import reprlib
 import sys
+from dataclasses import fields
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -97,6 +98,19 @@ class Doc:
                 " the most that can be read in decimal"
             ) from None
         return cls.from_json_dict(doc, *args)
+
+
+def _written(value):
+    # a tuple as a list of its written items, a document as its own dict
+    if isinstance(value, tuple):
+        return [_written(v) for v in value]
+    return value.to_json_dict() if isinstance(value, Doc) else value
+
+
+def fields_json_dict(doc) -> dict:
+    """A dataclass's fields by name, each value written by one rule: a tuple
+    as a list, a nested document as its own dict."""
+    return {f.name: _written(getattr(doc, f.name)) for f in fields(doc)}
 
 
 def canonical_json(obj: Any) -> str:

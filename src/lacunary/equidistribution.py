@@ -3,18 +3,19 @@ Bernstein tail bound, and summing-matrix regularity checks.
 
 Circle points are exact rationals a/q of a full turn, whose characters come
 from exact residues n*a mod q (through a table of the q values when q <= k;
-the points of one call reduce a bignum set once per group of moduli),
-or float angles theta = num/2^b, whose phase n*num mod 2^b is exact before
-one float rounding, so huge frequencies lose no accuracy. With b <= 64 the
-phases are, on any set, the low b bits of a wrapping uint64 product; past
-64 bits each n is cut to its low b bits before a Python multiply.
+where n*a may pass int64, the points of one call reduce the set once per
+group of moduli), or float angles theta = num/2^b, whose phase n*num mod
+2^b is exact before one float rounding, so huge frequencies lose no
+accuracy. With b <= 64 the phases are, on any set, the low b bits of a
+wrapping uint64 product; past 64 bits each n is cut to its low b bits
+before a Python multiply.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -22,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import Doc, decimal_strs, fraction_strs, ln_int
+from ._util import Doc, decimal_strs, fields_json_dict, fraction_strs, ln_int
 from .integer_sets import INT64_SAFE, IntegerSet
 from .selection import DensitySchedule, SelectionTrial
 
@@ -108,39 +109,31 @@ def character_values(E: IntegerSet | Sequence[int], point: CirclePoint, k: int |
 def _characters(E: IntegerSet, points: Sequence[CirclePoint], k: int) -> Iterator[np.ndarray]:
     """The characters of the first k elements of E at each point in turn.
 
-    A rational a/q whose |n_k|*a reaches INT64_SAFE takes n mod q before the
-    multiply. On an object array those q, in increasing order, are packed
-    greedily into groups whose lcm stays below one CPython digit, where a
-    bignum % takes its single-digit path: the set is reduced once per group,
-    and each point takes % q of the group's exact residues."""
+    The moduli q of the rational points a/q whose |n_k|*a reaches INT64_SAFE
+    are packed, in increasing order, greedily into groups whose lcm stays
+    below one CPython digit, where a bignum % takes its single-digit path (a
+    q past one digit is a group alone). The set is reduced once per group,
+    and every point whose q is in a group takes % q of the group's exact
+    residues before the multiply."""
     arr = E.array[:k]
     top = abs(E.elements[k - 1]) if k else 0
-    wide = [p.kind == "rational" and top * p.a >= INT64_SAFE for p in points]
-    moduli, group = [1], {}  # on an object array, q -> the index of its group's lcm
-    if arr.dtype == object:
-        for q in sorted({p.q for p, w in zip(points, wide) if w}):
-            if math.lcm(moduli[-1], q) >= _DIGIT:
-                moduli.append(1)
-            moduli[-1] = math.lcm(moduli[-1], q)
-            group[q] = len(moduli) - 1
-    # a group's residues are kept until its last point
-    last = {group[p.q]: i for i, (p, w) in enumerate(zip(points, wide)) if w and p.q in group}
-    reduced: dict[int, np.ndarray] = {}
-    for i, (p, w) in enumerate(zip(points, wide)):
+    moduli, group = [], {}  # q -> the index of its group's lcm
+    for q in sorted({p.q for p in points if p.kind == "rational" and top * p.a >= INT64_SAFE}):
+        if not moduli or math.lcm(moduli[-1], q) >= _DIGIT:
+            moduli.append(1)
+        moduli[-1] = math.lcm(moduli[-1], q)
+        group[q] = len(moduli) - 1
+    reduced = [(arr % m).astype(np.int64, copy=False) for m in moduli]
+    for p in points:
         if p.kind == "angle":
             yield _angle_characters(E, arr, p.theta, k)
             continue
         a, q = p.a, p.q
         n = arr
-        if w and q in group:
-            g = group[q]
-            if g not in reduced:
-                reduced[g] = (arr % moduli[g]).astype(np.int64)
-            n = (reduced.pop(g) if i == last[g] else reduced[g]) % q
-        elif w:
-            n = arr % q
-        if w and (q - 1) * a >= INT64_SAFE:
-            n = n.astype(object)  # the product below stays under q*a
+        if q in group:
+            n = reduced[group[q]] % q
+            if (q - 1) * a >= INT64_SAFE:
+                n = n.astype(object)  # the product below stays under q*a
         residues = (n * a % q).astype(np.int64, copy=False)
         # at most q distinct residues: when q <= k, evaluate each once and
         # gather; np.exp sees the same inputs, so the values are the same
@@ -231,15 +224,9 @@ class ScanReport(Doc):
     decreasing_fraction: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "ks": list(self.ks),
-            "points": [p.label() for p in self.points],
-            "moduli": [list(row) for row in self.moduli],
-            "max_off_exclusion": list(self.max_off_exclusion),
-            "trend_ratio": self.trend_ratio,
-            "decreasing_fraction": self.decreasing_fraction,
-            "exclusion": dict(_EXCLUSION_JSON),
-        }
+        doc = fields_json_dict(self)
+        doc.update(points=[p.label() for p in self.points], exclusion=dict(_EXCLUSION_JSON))
+        return doc
 
     def to_csv(self) -> str:
         lines = ["k,max_off_exclusion"]
@@ -305,14 +292,9 @@ class GridSupReport:
     max_frequency: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "coarse_sup": self.coarse_sup,
-            "bound": self.bound,
-            "certified": self.certified,
-            "grid_size": self.grid_size,
-            "cap_active": self.cap_active,
-            "max_frequency": decimal_strs([self.max_frequency], "grid sup max_frequency")[0],
-        }
+        doc = fields_json_dict(self)
+        doc["max_frequency"] = decimal_strs([self.max_frequency], "grid sup max_frequency")[0]
+        return doc
 
 
 def sup_norm_via_grid(spectrum: Mapping[int, complex], grid_cap: int = DEFAULT_GRID_CAP) -> GridSupReport:
@@ -390,9 +372,7 @@ class PsiPoint(Doc):
     sigma_k: float
     selected_count: int
     a_k: float | None  # (12 sigma_k log|n_k|)^(1/2) decay diagnostic
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    to_json_dict = fields_json_dict
 
 
 def psi(
@@ -445,9 +425,7 @@ def psi(
 @dataclass(frozen=True)
 class PsiSeries:
     points: tuple[PsiPoint, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"points": [p.to_json_dict() for p in self.points]}
+    to_json_dict = fields_json_dict
 
     def to_csv(self) -> str:
         lines = ["k,psi,a_k_over_sigma_k"]
@@ -494,18 +472,12 @@ class BernsteinValidation(Doc):
         return all(emp <= bound for _, emp, bound in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "sigma": self.sigma,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rows": [
-                {"a": a, "empirical": emp, "bound": bound, "within": emp <= bound}
-                for a, emp, bound in self.rows
-            ],
-            "all_within_bound": self.all_within_bound,
-        }
+        doc = fields_json_dict(self)
+        doc["rows"] = [
+            {"a": a, "empirical": emp, "bound": bound, "within": emp <= bound} for a, emp, bound in self.rows
+        ]
+        doc["all_within_bound"] = self.all_within_bound
+        return doc
 
 
 def monte_carlo_bernstein(
@@ -568,13 +540,7 @@ class SummingMatrixReport:
     rows: tuple[dict, ...]
     all_ok: bool
     skipped_zero_sigma: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": list(self.rows),
-            "all_ok": self.all_ok,
-            "skipped_zero_sigma": list(self.skipped_zero_sigma),
-        }
+    to_json_dict = fields_json_dict
 
 
 def summing_matrix_check(schedule: DensitySchedule, ks: Sequence[int] | None = None) -> SummingMatrixReport:

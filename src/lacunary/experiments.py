@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from ._util import Doc, canonical_json, check_keys, ln_int, wilson_interval
+from ._util import Doc, canonical_json, check_keys, decimal_strs, fields_json_dict, ln_int, wilson_interval
 from .equidistribution import (
     DEFAULT_GRID_CAP,
     CirclePoint,
@@ -237,12 +237,12 @@ class ExperimentConfig(Doc):
         for f in fields(self):
             value = getattr(self, f.name)
             _check(f.name, value, f.metadata["rule"])
+            if type(value) is int:  # an integer too long to write would fail hash() after every trial
+                decimal_strs([value], f"config key {f.name!r}")
             if f.metadata["kinds"]:
                 _builder(f.metadata["kinds"], f.name, value)
 
-    def to_json_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {key: list(v) if isinstance(v, tuple) else v for key, v in doc.items()}
+    to_json_dict = fields_json_dict
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
@@ -268,11 +268,7 @@ class ExperimentRecord:
     elapsed_seconds: float
     tool_version: str = TOOL_VERSION
     schema: int = 1
-
-    def to_json_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["config"] = self.config.to_json_dict()
-        return doc
+    to_json_dict = fields_json_dict
 
     def canonical_payload(self) -> dict:
         """Record content with volatile fields removed; two runs of the same

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import Doc, check_keys, decimal_strs, json_distinct_ints, json_str, ln_int, read_json
+from ._util import Doc, check_keys, decimal_strs, fields_json_dict, json_distinct_ints, json_str, ln_int, read_json
 
 INT64_SAFE = 1 << 62  # |n| below this leaves int64 headroom for sums and small multiples
 # sets of at least this many elements check their order in numpy when they fit int64;
@@ -251,15 +251,10 @@ class GrowthReport:
     samples: tuple[tuple[int, int, int], ...] = field(repr=False)  # (t, E[t], E[2t])
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon_hat": self.epsilon_hat,
-            "c_hat": self.c_hat,
-            "is_polynomial": self.is_polynomial,
-            "is_regular": self.is_regular,
-            "fit_range": decimal_strs(self.fit_range, "growth report fit_range"),
-            "margin": self.margin,
-            "sample_count": self.sample_count,
-        }
+        doc = fields_json_dict(self)
+        del doc["samples"]  # kept for inspection, not written
+        doc["fit_range"] = decimal_strs(self.fit_range, "growth report fit_range")
+        return doc
 
 
 def _geometric_grid(t_min: int, t_max: int, count: int) -> list[int]:

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._util import Doc, check_keys, decimal_strs, json_ints, json_str, ln_int, read_json
+from ._util import Doc, check_keys, decimal_strs, fields_json_dict, json_ints, json_str, ln_int, read_json
 from .integer_sets import IntegerSet
 
 GROSS_RATIO_THRESHOLD = 1.5
@@ -25,7 +25,7 @@ class Partition(Doc):
     kind: str  # "dyadic" | "gross" | "custom"
 
     def __post_init__(self) -> None:
-        cuts = tuple(int(p) for p in self.cut_points)
+        cuts = tuple(_integers(self.cut_points, "cut points"))
         if not cuts:
             raise ValueError("partition needs at least one cut point")
         if cuts[0] < 1 or any(a >= b for a, b in zip(cuts, cuts[1:])):
@@ -71,6 +71,14 @@ class Partition(Doc):
         return cls(tuple(cuts), read_json(doc, "kind", json_str, "a string", ctx))
 
 
+def _integers(values: Sequence, name: str) -> list[int]:
+    # int() would cut 1.5 to 1 and read True as 1, so neither passes
+    for v in values:
+        if type(v) is bool or v != int(v):
+            raise ValueError(f"{name} must be integers, got {v!r}")
+    return [int(v) for v in values]
+
+
 def dyadic_partition(k_max: int) -> Partition:
     """Cut points 1, 2, 4, ..., 2^k_max."""
     if k_max < 1:
@@ -100,7 +108,7 @@ def gross_partition(k_max: int, exponents: Sequence[int] | None = None) -> Parti
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         return Partition(_powers_of_two((math.factorial(k) for k in range(1, k_max + 1)), "k_max"), "gross")
-    exps = [int(e) for e in exponents]
+    exps = _integers(exponents, "exponents")
     if len(exps) < 1:
         raise ValueError("need at least one exponent")
     if any(e < 1 for e in exps) or any(a >= b for a, b in zip(exps, exps[1:])):
@@ -158,14 +166,7 @@ class BlockGrowthReport:
     tail_start: int
     min_tail_ratio: float | None
     empty_tail_blocks: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ratios": [r for r in self.ratios],
-            "tail_start": self.tail_start,
-            "min_tail_ratio": self.min_tail_ratio,
-            "empty_tail_blocks": list(self.empty_tail_blocks),
-        }
+    to_json_dict = fields_json_dict
 
 
 def verify_block_growth(D: BlockDecomposition, tail_start: int = 1) -> BlockGrowthReport:

@@ -84,13 +84,13 @@ class DensitySchedule(Doc):
 
     elements: tuple[int, ...]
     segments: tuple[tuple[int, int, Fraction], ...]
-    blocks: tuple[BlockDensity, ...] | None
+    blocks: tuple[BlockDensity, ...] | None  # set only by _from_blocks, which checks them
     kind: str
     diagnostics: dict | None = field(compare=False)
 
-    def __init__(self, elements, densities, blocks=None, kind="custom", diagnostics=None) -> None:
+    def __init__(self, elements, densities, kind="custom", diagnostics=None) -> None:
         runs = [list(run) for _, run in groupby(densities, key=id)]
-        self._set(elements, [(len(run), run[0]) for run in runs], blocks, kind, diagnostics)
+        self._set(elements, [(len(run), run[0]) for run in runs], None, kind, diagnostics)
 
     def _set(self, elements, runs: list[tuple[int, Fraction]], blocks, kind: str, diag) -> "DensitySchedule":
         # every schedule is built here from (size, delta) runs: each delta is checked
@@ -254,16 +254,18 @@ class SelectionTrial(Doc):
             return cls.from_bitmap_json_dict(doc, E)
         ctx = " in trial JSON"
         check_keys(doc, ("seed", "selected"), context=ctx)
-        selected = read_json(doc, "selected", json_distinct_ints, "a list of distinct integers", ctx)
+        listed = read_json(doc, "selected", json_distinct_ints, "a list of distinct integers", ctx)
+        selected = IntegerSet.from_iterable(listed, "selected")
         counts = read_json(doc, "block_counts", json_ints, "a list of integers", ctx) if "block_counts" in doc else None
         if counts is not None and (min(counts, default=0) < 0 or sum(counts) != len(selected)):
             raise ValueError(f"key 'block_counts'{ctx} must be nonnegative and sum to {len(selected)}, got {counts}")
+        if E is not None:  # an element outside E is named before a source_size that is not |E|
+            E.positions(selected)
         return cls(
             seed=read_json(doc, "seed", json_int, "an integer", ctx),
-            selected=IntegerSet.from_iterable(selected, "selected"),
+            selected=selected,
             block_counts=None if counts is None else tuple(counts),
-            source_size=read_json(doc, "source_size", json_int, "an integer", ctx) if "source_size" in doc else 0,
-            source_label=read_json(doc, "source_label", json_str, "a string", ctx) if "source_label" in doc else "",
+            **_source_keys(doc, E, ctx),
         )
 
     def mask(self, E: IntegerSet) -> np.ndarray:
@@ -291,7 +293,7 @@ class SelectionTrial(Doc):
     def from_bitmap_json_dict(cls, doc: dict, E: IntegerSet | None) -> "SelectionTrial":
         ctx = " in bitmap trial JSON"
         check_keys(doc, ("seed", "source_size", "elements_sha256", "bits_hex"), context=ctx)
-        seed, source_size = (read_json(doc, key, json_int, "an integer", ctx) for key in ("seed", "source_size"))
+        seed = read_json(doc, "seed", json_int, "an integer", ctx)
         if E is None:
             raise ValueError("bitmap trial JSON needs the source set to decode")
         if _digest(E.elements, f"set {E.label!r}") != doc["elements_sha256"]:
@@ -305,9 +307,17 @@ class SelectionTrial(Doc):
         return cls(
             seed=seed,
             selected=E._part(picked, _selected_label(E, seed)),
-            source_size=source_size,
-            source_label=read_json(doc, "source_label", json_str, "a string", ctx) if "source_label" in doc else "",
+            **_source_keys(doc, E, ctx),
         )
+
+
+def _source_keys(doc: dict, E: IntegerSet | None, ctx: str) -> dict:
+    """A trial's source_size (0 when absent), which must be |E| when E is given, and source_label ("" when absent)."""
+    size = read_json(doc, "source_size", json_int, "an integer", ctx) if "source_size" in doc else 0
+    if E is not None and "source_size" in doc and size != len(E):
+        raise ValueError(f"key 'source_size'{ctx} must be {len(E)}, the size of set {E.label!r}, got {size}")
+    label = read_json(doc, "source_label", json_str, "a string", ctx) if "source_label" in doc else ""
+    return {"source_size": size, "source_label": label}
 
 
 def _selected_label(E: IntegerSet, seed: int) -> str:
@@ -510,6 +520,7 @@ class DependenceEstimate(Doc):
         return (self.wilson_high - self.wilson_low) / 2.0
 
     def to_json_dict(self) -> dict:
+        decimal_strs([self.seed], f"seed of the {self.s}-dependence estimate")  # refused naming the estimate
         return {
             "s": self.s,
             "ell": self.ell,
@@ -528,6 +539,7 @@ def monte_carlo_dependence(E: IntegerSet, ell: int, s: int, trials: int, seed: i
     with the 99% Wilson interval and the probability bound alongside."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    decimal_strs([seed], f"seed of the {s}-dependence estimate")  # the estimate could not be written
     # the bound refuses s < 2, an empty E and ell outside [0, |E|] before any trial
     bound = dependence_probability_bound(s, ell, len(E))
     schedule = uniform_schedule(E, Fraction(ell, len(E)))

@@ -13,7 +13,7 @@ from lacunary._util import Doc
 from lacunary.equidistribution import sup_norm_via_grid, summing_matrix_check
 from lacunary.integer_sets import GrowthReport
 from lacunary.relations import count_representations
-from lacunary.selection import DensitySchedule, SelectionTrial
+from lacunary.selection import DensitySchedule, DependenceEstimate, SelectionTrial
 
 # 3^9013 has 4,301 digits, one more than Python writes in decimal
 BIG = 3**9013
@@ -31,6 +31,7 @@ CONFIG = ExperimentConfig(
     schedule={"kind": "linear_blocks"},
     tail_start=8,
 )
+_SPECS = {key: getattr(CONFIG, key) for key in ("source", "partition", "schedule")}
 POINTS = [L.CirclePoint.rational(1, 4), L.CirclePoint.angle(0.41421356)]
 DOCS = {
     "set": E,
@@ -133,6 +134,16 @@ def _increasing_summing_matrix():
             "growth report fit_range: element 2 of 2",
             id="growth_fit_range",
         ),
+        # a config is hashed after its last trial, so it refuses such a key when built
+        pytest.param(lambda: ExperimentConfig(**{**_SPECS, "seed": BIG}), "config key 'seed': element 1 of 1", id="config_seed"),
+        pytest.param(
+            lambda: ExperimentConfig(**{**_SPECS, "grid_cap": BIG}), "config key 'grid_cap': element 1 of 1", id="config_grid_cap"
+        ),
+        pytest.param(
+            lambda: DependenceEstimate(2, 2, 64, 20, 1, 0.05, 0.0, 0.3, 0.5, BIG).to_json_dict(),
+            "seed of the 2-dependence estimate: element 1 of 1",
+            id="dependence_estimate_seed",
+        ),
     ],
 )
 def test_unwritable_integer_refused_naming_its_document(write, names):
@@ -170,6 +181,20 @@ def test_trial_writers_refuse_an_unwritable_seed_naming_the_trial():
         with pytest.raises(ValueError, match="seed of trial of '1..5': element 1 of 1 has 4301 digits, past the 4300") as err:
             write()
         assert _WRITE_LIMIT_HINT not in str(err.value)
+
+def test_dependence_estimate_refuses_an_unwritable_seed_before_any_trial(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(L.selection, "select", no_trial)
+        with pytest.raises(ValueError, match="seed of the 2-dependence estimate: element 1 of 1 has 4301 digits") as err:
+            L.monte_carlo_dependence(L.generate_integers(64), 2, 2, 20, BIG)
+    assert _WRITE_LIMIT_HINT not in str(err.value)
+    # a seed of 4,300 digits is written as the bare JSON integer it always was
+    fits = L.monte_carlo_dependence(L.generate_integers(64), 2, 2, 20, 10**4299)
+    assert '"seed": 1' + "0" * 4299 + "}" in fits.to_json()
+
 
 def test_only_a_long_integer_literal_is_refused_in_the_readers_terms():
     too_long = "IntegerSet JSON: an integer literal has more than 4300 digits"

@@ -281,6 +281,8 @@ _GROUPED_POINTS = {
 _GROUPED_SETS = {
     "powers": lambda: generate_geometric(3, 300),
     "signed": lambda: IntegerSet.from_iterable([0] + [(-3) ** j for j in range(1, 301)]),
+    # int64, |n| up to 35^12 < 2^62: every numerator from 2 up makes its point wide
+    "int64": lambda: IntegerSet.from_iterable((-1) ** j * j**12 for j in range(1, 36)),
 }
 
 

@@ -806,6 +806,13 @@ _DIGEST_ONLY = {
             _PSI, "trial", lambda doc: {**doc, "source_label": 5}, "source_label", id="psi_bitmap_trial_source_label_a_number"
         ),
         pytest.param(
+            _PSI, "trial", lambda doc: {**doc, "source_size": 999}, "source_size", id="psi_trial_source_size_not_the_sets"
+        ),
+        pytest.param(
+            _PSI, "trial", lambda doc: {"seed": 1, "selected": ["2", "3"], "source_size": 999}, "source_size",
+            id="psi_elements_trial_source_size_not_the_sets",
+        ),
+        pytest.param(
             _PSI, "trial", lambda doc: {"seed": 1, "selected": ["2", "2", "3"]}, "selected", id="psi_trial_selected_repeats"
         ),
         pytest.param(_INDEPENDENCE, "set", lambda doc: {**doc, "label": 7}, "label", id="independence_set_label_a_number"),
@@ -933,6 +940,9 @@ SMALL_BLOCK_CONFIG_HASH = "04c0cd4d8f2ce7c01b5114452c234afc8d8c274b30eae7c09e7e3
 SMALL_CERT_CONFIG_HASH = "e876e5e09439158a9d0dc9a6c588d725dca3b101835951a80d03e26149fc53e5"
 SMALL_BLOCK_PAYLOAD_SHA256 = "d172130ef54243ffa9304e0ece9bd94772e5cdaadcf15c2630672f5e0775bd82"
 SMALL_CERT_NO_FFT_PAYLOAD_SHA256 = "f3654fde93114cd5375ddf317d6631938bd9970e6b195de3ea9e444ca30f6978"
+# the whole small certification record: psi at two checkpoints and the scan.
+# It hashes FFT and np.exp output, so it holds for one numpy build (2.4.6 on x86-64)
+SMALL_CERT_PAYLOAD_SHA256 = "3a7d82f242630b8e8f1186a12a09d7462446ef5b9b3de802c842824b233f975e"
 
 
 def test_config_hashes_and_record_bytes_pinned():
@@ -949,6 +959,14 @@ def test_certification_record_bytes_pinned(threads):
     cfg = small_cert_config(compute_psi=False, compute_scan=False)
     payload = canonical_json(run_certification(cfg, threads=threads).canonical_payload())
     assert hashlib.sha256(payload.encode()).hexdigest() == SMALL_CERT_NO_FFT_PAYLOAD_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_certification_record_with_psi_bytes_pinned(threads):
+    record = run_certification(small_cert_config(), threads=threads)
+    assert record.stages["psi"]["checkpoints"] == [475, 1900] and record.stages["scan"] is not None
+    payload = canonical_json(record.canonical_payload())
+    assert hashlib.sha256(payload.encode()).hexdigest() == SMALL_CERT_PAYLOAD_SHA256
 
 
 @pytest.mark.parametrize(

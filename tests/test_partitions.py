@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +88,27 @@ def test_partition_cuts_up_to_2_14284_unchanged():
     P = dyadic_partition(14_284)
     assert P.cut_points == tuple(2**k for k in range(14_285))
     assert len(P.to_json_dict()["cut_points"][-1]) == 4300
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: Partition((1.5, 3), "custom"), "cut points must be integers, got 1.5", id="cut_1.5"),
+        pytest.param(lambda: Partition((True, 3), "custom"), "cut points must be integers, got True", id="cut_true"),
+        pytest.param(lambda: Partition((1, Fraction(7, 2)), "custom"), "got Fraction", id="cut_7/2"),
+        pytest.param(lambda: gross_partition(3, exponents=[2, 4.5, 9]), "exponents must be integers, got 4.5", id="exponent_4.5"),
+        pytest.param(lambda: gross_partition(3, exponents=[True, 4, 9]), "exponents must be integers, got True", id="exponent_true"),
+    ],
+)
+def test_non_integral_cut_points_refused(build, message):
+    # int() would cut 1.5 to 1, and gross exponent 4.5 to 4, without a word
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_integral_cut_points_of_other_types_kept():
+    assert Partition((1.0, Fraction(6, 2), 7), "custom").cut_points == (1, 3, 7)
+    assert gross_partition(3, exponents=[2.0, 4, 9]).cut_points == (4, 16, 512)
 
 
 def test_partition_validation():

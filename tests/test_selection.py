@@ -28,6 +28,7 @@ from lacunary import (
     uniform_schedule,
 )
 from lacunary._util import wilson_interval
+from lacunary.selection import BlockDensity
 from lacunary.selection import _mix64_block, _thresholds
 
 
@@ -278,6 +279,20 @@ def test_schedule_stores_segments_not_densities():
     assert len(sched.segments) <= len(sched.blocks) + 1
     sized = {name: len(value) for name, value in vars(sched).items() if hasattr(value, "__len__")}
     assert [name for name, size in sized.items() if size == len(E)] == ["elements"]
+
+
+def test_schedule_constructor_takes_no_blocks():
+    # blocks passed beside per-element densities would go unchecked: density
+    # 1 on ten elements beside one block of size 8 would make select report
+    # block_counts (8,) for 10 selected elements
+    E = generate_integers(10)
+    blocks = (BlockDensity(0, 8, 8, Fraction(1), 0),)
+    with pytest.raises(TypeError, match="blocks"):
+        DensitySchedule(E.elements, (Fraction(1),) * 10, blocks=blocks)
+    assert DensitySchedule(E.elements, (Fraction(1),) * 10).blocks is None
+    # _from_blocks lays the densities out from the blocks, so the two agree
+    trial = select(E, DensitySchedule._from_blocks(E.elements, blocks, "custom"), 0)
+    assert trial.block_counts == (8,) and len(trial.selected) == 8
 
 
 def test_schedule_json_digest_mismatch():
@@ -542,6 +557,18 @@ def test_trial_json_block_counts_read_back():
     assert back.block_counts == trial.block_counts
     assert trial.block_counts == tuple(len(b) for b in decompose(trial.selected, D.partition).blocks)
     assert (back.selected.elements, back.source_size, back.source_label) == (trial.selected.elements, len(E), E.label)
+
+
+@pytest.mark.parametrize("form", ["elements", "bitmap"])
+def test_trial_json_source_size_must_be_the_sets(form):
+    E = generate_integers(10)
+    trial = select(E, uniform_schedule(E, Fraction(1, 2)), 3)
+    doc = trial.to_bitmap_json_dict(E) if form == "bitmap" else trial.to_json_dict()
+    assert SelectionTrial.from_json_dict(doc, E).source_size == 10
+    with pytest.raises(ValueError, match="key 'source_size' in .*trial JSON must be 10, the size of set '1..10', got 999"):
+        SelectionTrial.from_json_dict({**doc, "source_size": 999}, E)
+    if form == "elements":  # read without its set, the key is taken as written
+        assert SelectionTrial.from_json_dict({**doc, "source_size": 999}).source_size == 999
 
 
 @pytest.mark.parametrize(
