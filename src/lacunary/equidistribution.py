@@ -112,9 +112,9 @@ def _characters(E: IntegerSet, points: Sequence[CirclePoint], k: int) -> Iterato
     The moduli q of the rational points a/q whose |n_k|*a reaches INT64_SAFE
     are packed, in increasing order, greedily into groups whose lcm stays
     below one CPython digit, where a bignum % takes its single-digit path (a
-    q past one digit is a group alone). The set is reduced once per group,
-    and every point whose q is in a group takes % q of the group's exact
-    residues before the multiply."""
+    q past one digit is a group alone). Each group reduces the set once, at
+    its first point, and drops the residues after its last; every point whose
+    q is in a group takes % q of its group's exact residues before the multiply."""
     arr = E.array[:k]
     top = abs(E.elements[k - 1]) if k else 0
     moduli, group = [], {}  # q -> the index of its group's lcm
@@ -123,15 +123,18 @@ def _characters(E: IntegerSet, points: Sequence[CirclePoint], k: int) -> Iterato
             moduli.append(1)
         moduli[-1] = math.lcm(moduli[-1], q)
         group[q] = len(moduli) - 1
-    reduced = [(arr % m).astype(np.int64, copy=False) for m in moduli]
-    for p in points:
+    reduced, last = {}, {group[p.q]: i for i, p in enumerate(points) if p.kind == "rational" and p.q in group}
+    for i, p in enumerate(points):
         if p.kind == "angle":
             yield _angle_characters(E, arr, p.theta, k)
             continue
         a, q = p.a, p.q
         n = arr
         if q in group:
-            n = reduced[group[q]] % q
+            g = group[q]
+            if g not in reduced:
+                reduced[g] = (arr % moduli[g]).astype(np.int64, copy=False)
+            n = (reduced.pop(g) if i == last[g] else reduced[g]) % q
             if (q - 1) * a >= INT64_SAFE:
                 n = n.astype(object)  # the product below stays under q*a
         residues = (n * a % q).astype(np.int64, copy=False)
@@ -472,6 +475,7 @@ class BernsteinValidation(Doc):
         return all(emp <= bound for _, emp, bound in self.rows)
 
     def to_json_dict(self) -> dict:
+        decimal_strs([self.seed], f"seed of the {self.kind} Bernstein validation")  # refused naming the validation
         doc = fields_json_dict(self)
         doc["rows"] = [
             {"a": a, "empirical": emp, "bound": bound, "within": emp <= bound} for a, emp, bound in self.rows
@@ -496,6 +500,7 @@ def monte_carlo_bernstein(
     if trials < 1 or n < 1:
         raise ValueError("n and trials must be >= 1")
     kind = distribution.get("kind")
+    decimal_strs([seed], f"seed of the {kind} Bernstein validation")  # the validation could not be written
     rng = np.random.default_rng(seed)
     if kind == "rademacher":
         sigma = float(n)

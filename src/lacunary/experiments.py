@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from itertools import accumulate, pairwise
 from pathlib import Path
 from typing import Sequence
 
@@ -345,19 +346,20 @@ def _schedule_stage(env: _Env) -> dict:
 def _trial_rows(
     config: ExperimentConfig, env: _Env, indices: Sequence[int], psi_ks: Sequence[int]
 ) -> list[dict]:
-    """Each trial of both pipelines: select, split the selection into blocks,
-    test every block for s-independence and take psi at psi_ks. Trial 0's
-    row also carries its selected set, which the certification scan reads."""
+    """Each trial of both pipelines: select, cut the selection at its block
+    counts, test every block for s-independence and take psi at psi_ks. Trial
+    0's row also carries its selected set, which the certification scan reads."""
     out = []
     for t in indices:
         trial = select(env.source, env.schedule, trial_seed(config.seed, t))
-        picked = decompose(trial.selected, env.partition)
+        picked, spans = trial.selected, pairwise(accumulate(trial.block_counts, initial=0))
+        blocks = [picked._part(picked.elements[lo:hi], f"{picked.label}|block{k}") for k, (lo, hi) in enumerate(spans)]
         row: dict = {
             "trial": t,
-            "block_counts": [len(b) for b in picked.blocks],
+            "block_counts": list(trial.block_counts),
             "dependent": {
                 str(s): [
-                    0 if is_s_independent(blk, s).independent else 1 for blk in picked.blocks
+                    0 if is_s_independent(blk, s).independent else 1 for blk in blocks
                 ]
                 for s in config.s_values
             },
@@ -374,12 +376,6 @@ def _trial_rows(
             row["selected"] = trial.selected
         out.append(row)
     return out
-
-
-def _pool_rows(cfg_doc: dict, indices: Sequence[int], psi_ks: Sequence[int]) -> list[dict]:
-    # a pool worker starts from the config alone and builds its own env
-    config = ExperimentConfig.from_json_dict(cfg_doc)
-    return _trial_rows(config, _build_env(config), indices, psi_ks)
 
 
 # -- pipeline runner ----------------------------------------------------------
@@ -561,15 +557,15 @@ def run_certification(config: ExperimentConfig, threads: int = 1) -> ExperimentR
 
 def _fan_out(config: ExperimentConfig, env: _Env, threads: int, psi_ks: Sequence[int]) -> list[dict]:
     """Run the trials in order on the caller's env, or split across a process
-    pool whose workers build their own; results are folded in trial order so
-    the record is identical either way."""
+    pool that is sent the config and that env; results are folded in trial
+    order so the record is identical either way."""
     indices = list(range(config.trials))
     threads = min(threads, len(indices), os.cpu_count() or 1)
     if threads <= 1:
         return _trial_rows(config, env, indices, psi_ks)
     chunks = [indices[i::threads] for i in range(threads)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_pool_rows, [config.to_json_dict()] * threads, chunks, [psi_ks] * threads))
+        parts = list(pool.map(_trial_rows, [config] * threads, [env] * threads, chunks, [psi_ks] * threads))
     merged = [row for part in parts for row in part]
     merged.sort(key=lambda row: row["trial"])
     return merged

@@ -14,7 +14,7 @@ import reprlib
 import sys
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Sequence
@@ -248,11 +248,9 @@ class GrowthReport:
     fit_range: tuple[int, int]
     margin: float
     sample_count: int
-    samples: tuple[tuple[int, int, int], ...] = field(repr=False)  # (t, E[t], E[2t])
 
     def to_json_dict(self) -> dict:
         doc = fields_json_dict(self)
-        del doc["samples"]  # kept for inspection, not written
         doc["fit_range"] = decimal_strs(self.fit_range, "growth report fit_range")
         return doc
 
@@ -316,5 +314,4 @@ def classify_growth(E: IntegerSet, fit_range: tuple[int, int] | None = None) -> 
         fit_range=(t_min, t_max),
         margin=GROWTH_MARGIN,
         sample_count=len(samples),
-        samples=tuple(samples),
     )

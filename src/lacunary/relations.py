@@ -295,9 +295,9 @@ def _join(coeffs: tuple[int, ...], elems: Sequence[int], h: int, lex: bool, res=
     return None
 
 
-def _dfs_witness(coeffs: tuple[int, ...], elems: Sequence[int], members=None, res=None) -> tuple[int, ...] | None:
+def _dfs_witness(coeffs: tuple[int, ...], elems: Sequence[int], res=None) -> tuple[int, ...] | None:
     """First witness in the lexicographic order; any split gives it, so the
-    inner table takes the most positions that fit _ROWS. (`members` is unused.)"""
+    inner table takes the most positions that fit _ROWS."""
     n, m = len(elems), len(coeffs)
     h = next((h for h in range(m) if n ** (m - h) <= _ROWS), m - 1)
     return _join(coeffs, elems, h, True, res)

@@ -24,7 +24,7 @@ from ._util import (
     read_json, wilson_interval,
 )
 from .integer_sets import IntegerSet
-from .partitions import BlockDecomposition
+from .partitions import BlockDecomposition, _integers
 from .relations import dependence_probability_bound, is_s_independent
 
 _MASK64 = (1 << 64) - 1
@@ -183,12 +183,12 @@ class DensitySchedule(Doc):
     @classmethod
     def _from_blocks(cls, elements: tuple, blocks: Sequence[BlockDensity], kind: str, diagnostics=None):
         """Each block's delta over its span, density 0 past the last. block_counts
-        and the per-block sigma read start and ell, so the blocks must tile a
-        prefix of `elements` in order, each with ell = delta * size."""
+        and the per-block sigma read start and ell, so blocks 0, 1, ... must tile
+        a prefix of `elements` in that order, each with ell = delta * size."""
         starts = list(accumulate((b.size for b in blocks), initial=0))
-        for b, start in zip(blocks, starts):
-            if b.start != start or b.size < 0:
-                raise ValueError(f"schedule block {b.k} (start {b.start}, size {b.size}) breaks the tiling from 0")
+        for i, (b, start) in enumerate(zip(blocks, starts)):
+            if b.k != i or b.start != start or b.size < 0:
+                raise ValueError(f"schedule block {i} (k {b.k}, start {b.start}, size {b.size}) breaks the tiling from 0")
             if b.ell != b.delta * b.size:
                 raise ValueError(f"schedule block {b.k} has ell {b.ell}, not delta * size = {b.delta * b.size}")
         # blocks past the end of elements leave a negative tail, which _set refuses
@@ -380,7 +380,8 @@ def _ell_blocks(D: BlockDecomposition, ells: Sequence[int]) -> list[BlockDensity
     if len(ells) != len(D.blocks):
         raise ValueError(f"need one ell per block ({len(D.blocks)}), got {len(ells)}")
     blocks: list[BlockDensity] = []
-    for k, (blk, ell, start) in enumerate(zip(D.blocks, map(int, ells), accumulate(map(len, D.blocks), initial=0))):
+    ells, starts = _integers(ells, "ells"), accumulate(map(len, D.blocks), initial=0)
+    for k, (blk, ell, start) in enumerate(zip(D.blocks, ells, starts)):
         if ell < 0 or ell > len(blk):
             raise ValueError(f"block {k}: ell={ell} outside [0, |E_k|={len(blk)}]")
         blocks.append(BlockDensity(k, ell, len(blk), Fraction(ell, len(blk)) if len(blk) else Fraction(0), start))

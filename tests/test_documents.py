@@ -10,7 +10,7 @@ import pytest
 import lacunary as L
 from lacunary import ExperimentConfig, IntegerSet, Partition
 from lacunary._util import Doc
-from lacunary.equidistribution import sup_norm_via_grid, summing_matrix_check
+from lacunary.equidistribution import BernsteinValidation, sup_norm_via_grid, summing_matrix_check
 from lacunary.integer_sets import GrowthReport
 from lacunary.relations import count_representations
 from lacunary.selection import DensitySchedule, DependenceEstimate, SelectionTrial
@@ -130,7 +130,7 @@ def _increasing_summing_matrix():
         ),
         pytest.param(_increasing_summing_matrix, r"summing-matrix row 2 \(", id="summing_matrix_rational"),
         pytest.param(
-            lambda: GrowthReport(0.5, 2.0, True, True, (2, BIG), 0.05, 16, ()).to_json_dict(),
+            lambda: GrowthReport(0.5, 2.0, True, True, (2, BIG), 0.05, 16).to_json_dict(),
             "growth report fit_range: element 2 of 2",
             id="growth_fit_range",
         ),
@@ -143,6 +143,11 @@ def _increasing_summing_matrix():
             lambda: DependenceEstimate(2, 2, 64, 20, 1, 0.05, 0.0, 0.3, 0.5, BIG).to_json_dict(),
             "seed of the 2-dependence estimate: element 1 of 1",
             id="dependence_estimate_seed",
+        ),
+        pytest.param(
+            lambda: BernsteinValidation("rademacher", 5, 5.0, 10, BIG, ()).to_json_dict(),
+            "seed of the rademacher Bernstein validation: element 1 of 1",
+            id="bernstein_seed",
         ),
     ],
 )
@@ -194,6 +199,21 @@ def test_dependence_estimate_refuses_an_unwritable_seed_before_any_trial(monkeyp
     # a seed of 4,300 digits is written as the bare JSON integer it always was
     fits = L.monte_carlo_dependence(L.generate_integers(64), 2, 2, 20, 10**4299)
     assert '"seed": 1' + "0" * 4299 + "}" in fits.to_json()
+
+
+def test_bernstein_validation_refuses_an_unwritable_seed_before_any_trial(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(L.equidistribution.np.random, "default_rng", no_trial)
+        refusal = "seed of the rademacher Bernstein validation: element 1 of 1 has 4301 digits"
+        with pytest.raises(ValueError, match=refusal) as err:
+            L.monte_carlo_bernstein(5, {"kind": "rademacher"}, [1.0], 10, BIG)
+    assert _WRITE_LIMIT_HINT not in str(err.value)
+    # a seed of 4,300 digits is written as the bare JSON integer it always was
+    fits = L.monte_carlo_bernstein(5, {"kind": "rademacher"}, [1.0], 10, 10**4299)
+    assert '"seed": 1' + "0" * 4299 + "," in fits.to_json()
 
 
 def test_only_a_long_integer_literal_is_refused_in_the_readers_terms():

@@ -301,6 +301,49 @@ def test_grouped_residues_match_a_per_point_character_loop(set_name, points_name
         assert np.array(equidistribution_scan(E, ks, points).moduli).tobytes() == np.array(want).tobytes()
 
 
+def _weyl_peak(E: IntegerSet, points) -> int:
+    tracemalloc.start()
+    try:
+        weyl_means(E, len(E), points)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_weyl_group_residues_released_after_their_last_point():
+    # each q is past one CPython digit and |n_k|*a reaches INT64_SAFE, so each
+    # point is a group alone; a group's residues (8 bytes per element) are
+    # dropped after its last point, so twelve groups peak within one such array
+    # of two (keeping every group to the end adds one array per group)
+    E = IntegerSet(tuple(range(2**36, 2**36 + 50_000)))
+    E.array
+    points = [CirclePoint.rational(2**26 + 3 * i + 1, 2**34 + 2 * i + 1) for i in range(12)]
+    assert _weyl_peak(E, points) < _weyl_peak(E, points[:2]) + 8 * len(E)
+
+
+class _CountedMods(np.ndarray):
+    """An array view that records the modulus of each % taken of it."""
+
+    mods: list = []
+
+    def __mod__(self, m):
+        self.mods.append(m)
+        return np.asarray(self) % m
+
+
+def test_weyl_groups_reduced_once_across_interleaved_points():
+    # 30011 and 30013 share one digit, 30029 does not: two groups, whose points
+    # alternate; each group's residues are taken once and serve all its points
+    E = IntegerSet(tuple(range(2**48, 2**48 + 5_000)))
+    qs = (30011, 30013, 30011, 30013, 30029, 30011)
+    points = [CirclePoint.rational(q - 1 - i, q) for i, q in enumerate(qs)]
+    want = [complex(character_values(E, p).sum()) / len(E) for p in points]
+    vars(E)["array"] = E.array.view(_CountedMods)  # the cached view every character reads
+    _CountedMods.mods = []
+    assert weyl_means(E, len(E), points).values == tuple(want)
+    assert _CountedMods.mods == [30011 * 30013, 30029]
+
+
 def test_circle_point_residues_must_fit_int64():
     with pytest.raises(ValueError, match="fit int64"):
         CirclePoint.parse("1/99999999999999999989")

@@ -749,6 +749,12 @@ def _bool_block_delta(doc):
     return doc
 
 
+def _every_block_k_5(doc):
+    for block in doc["blocks"]:
+        block["k"] = 5
+    return doc
+
+
 def _empty_block_delta_5(doc):
     doc["blocks"][0]["delta"] = "5"  # block 0 of the primes is empty
     return doc
@@ -783,6 +789,9 @@ _DIGEST_ONLY = {
         pytest.param(_SELECT, "schedule", _zero_block_denominator, "blocks[1].delta", id="select_schedule_delta_over_zero"),
         pytest.param(_SELECT, "schedule", _bool_block_delta, "blocks[1].delta", id="select_schedule_delta_a_bool"),
         pytest.param(_SELECT, "schedule", _empty_block_delta_5, "density 5 outside", id="select_schedule_empty_block_delta_5"),
+        pytest.param(
+            _SELECT, "schedule", _every_block_k_5, "schedule block 0 (k 5,", id="select_schedule_block_k_misplaced"
+        ),
         pytest.param(
             _SELECT, "schedule", lambda doc: {"entries": [["2", True]]}, "entries", id="select_schedule_entry_density_a_bool"
         ),

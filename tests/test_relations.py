@@ -202,13 +202,13 @@ def test_search_engines_agree_on_existence():
         elems = IntegerSet.from_iterable(rng.sample(range(1, 120), rng.randint(5, 18))).elements
         members = frozenset(elems)
         for rel in rels3:
-            dfs = _dfs_witness(rel, elems, members)
+            dfs = _dfs_witness(rel, elems)
             mitm = _mitm_witness(rel, elems, 1)
             assert (dfs is None) == (mitm is None)
             for wit in (dfs, mitm):
                 check_witness(rel, wit, members)
         for rel in rels4:
-            dfs = _dfs_witness(rel, elems, members)
+            dfs = _dfs_witness(rel, elems)
             mitm = _mitm_witness(rel, elems, 2)
             assert (dfs is None) == (mitm is None)
             for wit in (dfs, mitm):
@@ -222,9 +222,8 @@ def test_search_engines_agree_long_relations():
     rels = [(2, -1, -1, -1, 1), (1, 1, 1, -1, -1, -1)]
     for _ in range(15):
         elems = IntegerSet.from_iterable(rng.sample(range(1, 60), rng.randint(6, 11))).elements
-        members = frozenset(elems)
         for rel in rels:
-            dfs = _dfs_witness(rel, elems, members)
+            dfs = _dfs_witness(rel, elems)
             mitm = _mitm_witness(rel, elems, len(rel) // 2)
             assert (dfs is None) == (mitm is None)
 
@@ -249,7 +248,7 @@ def test_search_witness_order_matches_product_enumeration():
                 m = len(coeffs)
                 if m > len(elems):
                     continue
-                assert _dfs_witness(coeffs, elems, E.members) == _first_vanishing(coeffs, product(elems, repeat=m))
+                assert _dfs_witness(coeffs, elems) == _first_vanishing(coeffs, product(elems, repeat=m))
                 for h in range(1, m):
                     want = None
                     for right in product(elems, repeat=m - h):
@@ -380,7 +379,7 @@ def test_both_orders_match_the_earlier_searches_at_every_split(data):
                 if m > len(elems):
                     continue
                 want = _oracles._dfs_witness(coeffs, elems, E.members)
-                assert _dfs_witness(coeffs, elems, E.members) == want
+                assert _dfs_witness(coeffs, elems) == want
                 for h in range(m):
                     assert _join(coeffs, elems, h, True) == want
                 for h in range(1, m):

@@ -135,6 +135,15 @@ def test_blockwise_rejects_oversized_ell():
         blockwise_schedule(D, bad)
 
 
+@pytest.mark.parametrize("ell", [1.7, 2.9, True])
+def test_blockwise_refuses_an_ell_that_is_not_an_integer(ell):
+    # int() would read 1.7 as 1, 2.9 as 2 and True as 1
+    D = decompose(generate_integers(20), dyadic_partition(5))
+    with pytest.raises(ValueError, match=f"ells must be integers, got {ell!r}"):
+        blockwise_schedule(D, [0, 1, 1, ell, 2, 0])
+    assert blockwise_schedule(D, [0, 1, 1, 2.0, 2, 0]) == blockwise_schedule(D, [0, 1, 1, 2, 2, 0])
+
+
 def test_blockwise_remainder_gets_zero_density():
     E = generate_integers(20)
     D = decompose(E, dyadic_partition(3))  # covers up to 8
@@ -324,6 +333,7 @@ def _add_ell(doc, k, by):
             lambda doc: {**doc, "blocks": doc["blocks"] + [{**doc["blocks"][-1], "start": 31, "size": 16}]}, id="past_the_set"
         ),
         pytest.param(lambda doc: _add_ell(doc, 5, 2), id="ell_not_delta_times_size"),
+        pytest.param(lambda doc: {**doc, "blocks": [{**b, "k": 5} for b in doc["blocks"]]}, id="k_not_its_position"),
         # its ell agrees with delta * size, so only the length check refuses it
         pytest.param(
             lambda doc: {**doc, "blocks": doc["blocks"] + [{"k": 8, "ell": 0, "size": 16, "delta": "0", "start": 31}]},
