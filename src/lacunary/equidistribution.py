@@ -143,6 +143,7 @@ def _characters(E: IntegerSet, points: Sequence[CirclePoint], k: int) -> Iterato
         steps = np.arange(q) if q <= k else residues
         vals = _quarter_exact(np.exp((2j * np.pi / q) * steps), steps, q)
         yield vals[residues] if q <= k else vals
+        del n, residues, steps, vals  # not kept while the next point is computed
 
 
 def _angle_characters(E: IntegerSet, arr: np.ndarray, theta: float, k: int) -> np.ndarray:
@@ -212,7 +213,8 @@ def weyl_means(E: IntegerSet, k: int, points: Sequence[CirclePoint]) -> WeylRepo
         raise ValueError("k must satisfy 1 <= k <= |E|")
     # divide in Python: complex / int stays exact for real sums, where
     # numpy's vectorized complex division would round 49/49 past 1.0
-    values = tuple(complex(vals.sum()) / k for vals in _characters(E, points, k))
+    # map holds no point's characters while the next point's are computed
+    values = tuple(map(lambda vals: complex(vals.sum()) / k, _characters(E, points, k)))
     excluded = tuple(is_excluded(p, k) for p in points)
     return WeylReport(k, tuple(points), values, excluded, _max_off_exclusion([abs(v) for v in values], excluded))
 
@@ -244,8 +246,10 @@ def equidistribution_scan(E: IntegerSet, ks: Sequence[int], points: Sequence[Cir
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1 or ks[-1] > len(E):
         raise ValueError("checkpoints must lie in 1..|E|")
-    # one point's running sums at a time, not a list of all of them
-    columns = [[float(abs(cs[k - 1])) / k for k in ks] for cs in map(np.cumsum, _characters(E, points, ks[-1]))]
+    # one point's running sums at a time, none held by map while the next
+    # point's characters are computed
+    sums = map(np.cumsum, _characters(E, points, ks[-1]))
+    columns = list(map(lambda cs: [float(abs(cs[k - 1])) / k for k in ks], sums))
     moduli = tuple(tuple(col[i] for col in columns) for i in range(len(ks)))
     maxima = tuple(_max_off_exclusion(row, [is_excluded(p, k) for p in points]) for k, row in zip(ks, moduli))
     defined = [m for m in maxima if m is not None]
@@ -267,12 +271,10 @@ def _grid_values(freqs: np.ndarray, coeffs: np.ndarray, grid_size: int) -> np.nd
     # bincount starts each bin at +0.0 and adds its weights in input order, as
     # a term-by-term loop into a zeroed grid does (complex addition adds the
     # parts apart): colliding bins sum in the loop's order, and a lone -0.0
-    # lands on +0.0 both ways, so the grid is the loop's bit for bit (real
-    # coefficients, psi's, leave the imaginary parts at +0.0)
+    # lands on +0.0 both ways, so the grid is the loop's bit for bit
     arr = np.zeros(grid_size, dtype=complex)
     arr.real = np.bincount(bins, coeffs.real, grid_size)
-    if np.iscomplexobj(coeffs):
-        arr.imag = np.bincount(bins, coeffs.imag, grid_size)
+    arr.imag = np.bincount(bins, coeffs.imag, grid_size)
     # in place: no second grid-sized array for the transform or the scaling
     np.fft.ifft(arr, out=arr)
     arr *= grid_size
@@ -309,6 +311,8 @@ def sup_norm_via_grid(spectrum: Mapping[int, complex], grid_cap: int = DEFAULT_G
     """
     support = {n: c for n, c in spectrum.items() if c != 0}
     coeffs = np.array(list(support.values()), dtype=complex)
+    if not coeffs.imag.any():
+        coeffs = coeffs.real  # the real transform, as psi takes it
     N = max((abs(n) for n in support), default=0)
     return _grid_sup(np.array(list(support), dtype=object), coeffs, N, max(4 * N, 1), grid_cap)
 
@@ -341,13 +345,20 @@ def _grid_sup(freqs: np.ndarray, coeffs: np.ndarray, N: int, size: int, grid_cap
     W = max n - min n, so by Szego's inequality (1928) ||p|| <= grid max /
     sqrt(cos(pi W / M)) for M > 2W, about 1.19 x grid max at M >= 4N >= 4W
     (positive supports). A grid below 4N points leaves only a lower estimate.
+
+    Real (float) coefficients, psi's, take the real-input FFT of a float grid;
+    complex ones take the complex inverse FFT of _grid_values.
     """
     if len(coeffs) == 0:
         return GridSupReport(0.0, 0.0, True, 1, False, 0)
     M = min(size, grid_cap)
     cap_active = M < 4 * N
-    vals = _grid_values(freqs, coeffs, M)
-    S = float(np.max(np.abs(vals)))
+    if np.iscomplexobj(coeffs):
+        S = float(np.max(np.abs(_grid_values(freqs, coeffs, M))))
+    else:
+        # the float grid _grid_values fills as its real part; the value at M - r
+        # conjugates the one at r, so rfft's M//2 + 1 outputs hold every modulus
+        S = float(np.max(np.abs(np.fft.rfft(np.bincount(np.mod(freqs, M).astype(np.int64), coeffs, M)))))
     return GridSupReport(
         coarse_sup=S,
         bound=5.0 * S,
@@ -391,7 +402,9 @@ def psi(
     The grid is the smallest 5-smooth size of at least 4N points, N the
     degree, capped at grid_cap. Like the 4N grid of sup_norm_via_grid it
     certifies the true sup to within 4.66x, and its FFT avoids Bluestein's
-    algorithm; a grid cut below 4N by the cap is uncertified.
+    algorithm; a grid cut below 4N by the cap is uncertified. The coefficients
+    (flag/count - delta/sigma_k) are real, so the sup is taken from the
+    real-input FFT, whose M//2 + 1 outputs hold every modulus of the grid.
     """
     if not 1 <= k <= len(E):
         raise ValueError("k must satisfy 1 <= k <= |E|")

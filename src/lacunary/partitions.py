@@ -72,9 +72,10 @@ class Partition(Doc):
 
 
 def _integers(values: Sequence, name: str) -> list[int]:
-    # int() would cut 1.5 to 1 and read True as 1, so neither passes
+    # int() would cut 1.5 to 1 and read True as 1, so neither passes; inf and
+    # nan are refused before int() raises on them
     for v in values:
-        if type(v) is bool or v != int(v):
+        if type(v) is bool or not (isinstance(v, int) or math.isfinite(v)) or v != int(v):
             raise ValueError(f"{name} must be integers, got {v!r}")
     return [int(v) for v in values]
 

@@ -310,6 +310,30 @@ def _weyl_peak(E: IntegerSet, points) -> int:
         tracemalloc.stop()
 
 
+def test_weyl_means_and_scan_hold_one_point_at_a_time():
+    # neither the character generator nor its callers keep a point's arrays
+    # while the next point's are computed, so more points peak within one
+    # element array (8 bytes per element) of one point
+    E = IntegerSet(tuple(range(2**36, 2**36 + 50_000)))
+    E.array
+    points = [CirclePoint.rational(2**26 + 3 * i + 1, 2**34 + 2 * i + 1) for i in range(1, 5)]
+    points += [CirclePoint.rational(5, 97), CirclePoint.angle(0.375)]
+    one = _weyl_peak(E, points[:1])
+    for m in (2, 3, len(points)):
+        assert _weyl_peak(E, points[:m]) < one + 8 * len(E)
+
+    def scan_peak(pts):
+        tracemalloc.start()
+        try:
+            equidistribution_scan(E, [10, 1000, len(E)], pts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = scan_peak(points[:1])
+    assert scan_peak(points) < one + 8 * len(E)
+
+
 def test_weyl_group_residues_released_after_their_last_point():
     # each q is past one CPython digit and |n_k|*a reaches INT64_SAFE, so each
     # point is a group alone; a group's residues (8 bytes per element) are
@@ -643,6 +667,15 @@ def _loop_grid_values(spectrum, M):
     return np.fft.ifft(arr) * M
 
 
+def _loop_real_sup(spectrum, M):
+    """The grid sup of a real spectrum: a float grid filled term by term, as
+    _loop_grid_values fills it, then the real-input transform."""
+    arr = np.zeros(M)
+    for n, c in spectrum.items():
+        arr[n % M] += c
+    return float(np.max(np.abs(np.fft.rfft(arr))))
+
+
 @pytest.mark.parametrize("source", ["primes", "geometric"])
 def test_psi_array_path_equals_dict_path(source):
     # exact equality: the array path must fold and sum in the dict path's order
@@ -661,7 +694,7 @@ def test_psi_array_path_equals_dict_path(source):
     ref = sup_norm_via_grid(spectrum, grid_cap=cap)
     assert got.cap_active and not got.certified and got.grid_size == cap
     assert (got.value, got.certified_bound, got.grid_size) == (ref.coarse_sup, ref.bound, ref.grid_size)
-    assert got.value == float(np.max(np.abs(_loop_grid_values(spectrum, cap))))
+    assert got.value == _loop_real_sup(spectrum, cap)
     if source == "primes":
         assert len({n % cap for n in spectrum}) < len(spectrum)  # bins collide
 
@@ -713,6 +746,56 @@ def test_grid_sup_keeps_one_grid_sized_complex_array():
         tracemalloc.stop()
     assert report.grid_size == 1 << 20 and report.certified
     assert peak < 32 << 20
+
+
+def _grid_sup_peak(freqs, coeffs, N):
+    tracemalloc.start()
+    try:
+        report = _grid_sup(freqs, coeffs, N, 1 << 20, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.grid_size == 1 << 20 and report.certified
+    return peak
+
+
+def test_grid_sup_of_real_coefficients_keeps_one_float_grid():
+    # at M = 2^20 the float grid is 8 MiB and rfft's M/2 + 1 outputs another 8 MiB;
+    # the grid is dropped before the 4 MiB moduli are taken
+    E = generate_primes(1 << 18)
+    coeffs = np.linspace(-1.0, 1.0, len(E))
+    assert _grid_sup_peak(E.array, coeffs, E.max_abs) < 22 << 20
+    # complex coefficients keep the one 16 MiB complex grid of _grid_values
+    assert _grid_sup_peak(E.array, coeffs + 0.5j, E.max_abs) < 32 << 20
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 64, 125, 1000, 933_120])
+def test_real_transform_sup_matches_the_complex_loop(M):
+    # colliding bins, -0.0 coefficients, negative and bignum frequencies; the two
+    # transforms round differently, by a few ulps of the sup
+    rng = np.random.default_rng(M)
+    freqs = rng.integers(-3 * M - 40, 3 * M + 40, 1500).tolist()
+    spectrum = dict(zip(freqs, rng.standard_normal(len(freqs)).tolist()))
+    spectrum.update({7: -0.0, -M: -0.0, 3**50: 0.1, -(3**45): -0.3, 2**70 + 1: 1.5})
+    coeffs = np.array(list(spectrum.values()))
+    assert len({n % M for n in spectrum}) < len(spectrum)  # bins collide
+    got = _grid_sup(np.array(list(spectrum), dtype=object), coeffs, max(map(abs, spectrum)), M, M)
+    assert got.grid_size == M
+    assert got.coarse_sup == _loop_real_sup(spectrum, M)
+    complex_sup = float(np.max(np.abs(_loop_grid_values(spectrum, M))))
+    assert abs(got.coarse_sup - complex_sup) <= 1e-12 * float(np.sum(np.abs(coeffs)))
+
+
+def test_sup_norm_via_grid_takes_the_complex_transform_only_for_complex_spectra():
+    spectrum = {-3: 1.0, 2: -0.5 + 0.25j, 61: 2.0, 3**50: 0.1, -(3**45): -0.3j, 125: 1 / 3}
+    for M in (64, 7, 1 << 10):
+        got = sup_norm_via_grid(spectrum, grid_cap=M)
+        assert got.coarse_sup == float(np.max(np.abs(_loop_grid_values(spectrum, M))))
+        # imaginary parts that are all zero, -0.0 among them, leave a real spectrum
+        real = {n: complex(c.real, -0.0 if n < 0 else 0.0) for n, c in spectrum.items()}
+        assert sup_norm_via_grid(real, grid_cap=M).coarse_sup == _loop_real_sup(
+            {n: c.real for n, c in spectrum.items()}, M
+        )
 
 
 def test_psi_series_diagnostics():

@@ -951,7 +951,7 @@ SMALL_BLOCK_PAYLOAD_SHA256 = "d172130ef54243ffa9304e0ece9bd94772e5cdaadcf15c2630
 SMALL_CERT_NO_FFT_PAYLOAD_SHA256 = "f3654fde93114cd5375ddf317d6631938bd9970e6b195de3ea9e444ca30f6978"
 # the whole small certification record: psi at two checkpoints and the scan.
 # It hashes FFT and np.exp output, so it holds for one numpy build (2.4.6 on x86-64)
-SMALL_CERT_PAYLOAD_SHA256 = "3a7d82f242630b8e8f1186a12a09d7462446ef5b9b3de802c842824b233f975e"
+SMALL_CERT_PAYLOAD_SHA256 = "f4a8e7c775fd1103879d1af72bc76f14ca8a1cea2b4e848c46db896a75092c14"
 
 
 def test_config_hashes_and_record_bytes_pinned():

@@ -37,7 +37,7 @@ from lacunary.integer_sets import INT64_SAFE, NUMPY_ORDER_CHECK, _abs_order_key
 from lacunary.relations import _search_reps
 
 from _oracles import bytearray_sieve_primes, is_prime_trial_division, naive_s_independent, relations_grouped
-from test_equidistribution import _loop_grid_values, _psi_dict_spectrum
+from test_equidistribution import _loop_grid_values, _loop_real_sup, _psi_dict_spectrum
 
 
 def test_ordering_by_absolute_value_negative_first():
@@ -344,7 +344,7 @@ def test_int64_boundary_matches_python_references(top):
         spectrum = _psi_dict_spectrum(E, trial, sched, k)
         natural = 4 * max(map(abs, spectrum))
         M = min(natural, cap)
-        value = float(np.max(np.abs(_loop_grid_values(spectrum, M))))
+        value = _loop_real_sup(spectrum, M)
         sigma = float(sched.sigma_at(k))
         expected = PsiPoint(
             k=k, value=value, certified_bound=5.0 * value, certified=natural <= cap, grid_size=M,

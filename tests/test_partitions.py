@@ -106,6 +106,15 @@ def test_non_integral_cut_points_refused(build, message):
         build()
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_cut_points_and_exponents_refused(bad):
+    # int() raises OverflowError on inf and an unnamed ValueError on nan
+    with pytest.raises(ValueError, match=f"exponents must be integers, got {bad!r}"):
+        gross_partition(3, [2, 5, bad])
+    with pytest.raises(ValueError, match=f"cut points must be integers, got {bad!r}"):
+        Partition((1, bad), "custom")
+
+
 def test_integral_cut_points_of_other_types_kept():
     assert Partition((1.0, Fraction(6, 2), 7), "custom").cut_points == (1, 3, 7)
     assert gross_partition(3, exponents=[2.0, 4, 9]).cut_points == (4, 16, 512)

@@ -144,6 +144,14 @@ def test_blockwise_refuses_an_ell_that_is_not_an_integer(ell):
     assert blockwise_schedule(D, [0, 1, 1, 2.0, 2, 0]) == blockwise_schedule(D, [0, 1, 1, 2, 2, 0])
 
 
+@pytest.mark.parametrize("ell", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_blockwise_refuses_a_non_finite_ell(ell):
+    # int() raises OverflowError on inf and an unnamed ValueError on nan
+    D = decompose(generate_integers(20), dyadic_partition(5))
+    with pytest.raises(ValueError, match=f"ells must be integers, got {ell!r}"):
+        blockwise_schedule(D, [0, 1, 1, ell, 2, 0])
+
+
 def test_blockwise_remainder_gets_zero_density():
     E = generate_integers(20)
     D = decompose(E, dyadic_partition(3))  # covers up to 8
