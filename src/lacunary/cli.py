@@ -1,9 +1,9 @@
 """Command-line surface: thin wrappers over the library operations plus the
 experiment pipelines.
 
-Exit codes: 0 success, 2 usage error, 3 precondition failure, 4 property
-falsified (a dependent set, a tail bound violation, a missed threshold), so
-scripts can branch on what actually happened.
+Exit codes: 0 success, 2 usage error, 3 precondition failure (a request too
+large for memory too), 4 property falsified (a dependent set, a tail bound
+violation, a missed threshold), so scripts can branch on what actually happened.
 """
 
 from __future__ import annotations
@@ -299,8 +299,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

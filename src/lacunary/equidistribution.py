@@ -51,11 +51,8 @@ class CirclePoint:
     def rational(cls, a: int, q: int) -> "CirclePoint":
         if q == 0:
             raise ValueError("rational circle point needs q != 0")
-        if q < 0:
-            a, q = -a, -q
-        a %= q
-        g = gcd(a, q)
-        a, q = a // g, q // g
+        turn = Fraction(a, q) % 1
+        a, q = turn.numerator, turn.denominator
         if q >= 1 << 63:
             raise ValueError(f"rational circle point {a}/{q}: residues mod q must fit int64, so q < 2^63")
         return cls(kind="rational", a=a, q=q)
@@ -578,17 +575,18 @@ def summing_matrix_check(schedule: DensitySchedule, ks: Sequence[int] | None = N
     for k in ks:
         if not 1 <= k <= K:
             raise ValueError("row index out of range")
-        sigma_k = schedule.sigma_at(k)
+        head = densities[:k]
+        sigma_k = sum(head, Fraction(0))  # not sigma_at, whose memo would keep every row's sum
         if sigma_k == 0:
             skipped.append(k)
             continue
-        coeffs = [d / sigma_k for d in densities[:k]]
+        coeffs = [d / sigma_k for d in head]
         row_sum = sum(coeffs, Fraction(0))
         variation = Fraction(0)
         for j in range(1, k + 1):
             nxt = coeffs[j] if j < k else Fraction(0)
             variation += j * abs(coeffs[j - 1] - nxt)
-        nonincreasing = all(a >= b for a, b in zip(densities[:k], densities[1:k]))
+        nonincreasing = all(a >= b for a, b in zip(head, head[1:]))
         row_ok = row_sum == 1 and variation == 1
         ok = ok and row_ok
         row_sum_text, variation_text = fraction_strs([row_sum, variation], f"summing-matrix row {k}")

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate, count, pairwise
 from pathlib import Path
 from typing import Sequence
 
@@ -289,13 +289,14 @@ def save_record(record: ExperimentRecord, out_dir: str | Path) -> Path:
     records_dir.mkdir(parents=True, exist_ok=True)
     stamp = record.created_utc.replace(":", "").replace("-", "")
     base = f"{record.pipeline}-{record.config_hash[:12]}-{stamp}"
-    path = records_dir / f"{base}.json"
-    counter = 1
-    while path.exists():
-        path = records_dir / f"{base}-{counter}.json"
-        counter += 1
-    path.write_text(record.to_json())
-    return path
+    for counter in count():
+        path = records_dir / (f"{base}-{counter}.json" if counter else f"{base}.json")
+        try:
+            with open(path, "x") as f:  # fails, rather than overwrite, on a file another run made
+                f.write(record.to_json())
+        except FileExistsError:
+            continue
+        return path
 
 
 def _utc_now() -> str:
@@ -556,16 +557,14 @@ def run_certification(config: ExperimentConfig, threads: int = 1) -> ExperimentR
 
 
 def _fan_out(config: ExperimentConfig, env: _Env, threads: int, psi_ks: Sequence[int]) -> list[dict]:
-    """Run the trials in order on the caller's env, or split across a process
-    pool that is sent the config and that env; results are folded in trial
-    order so the record is identical either way."""
-    indices = list(range(config.trials))
-    threads = min(threads, len(indices), os.cpu_count() or 1)
+    """Run the trials in order on the caller's env, or split them into one
+    contiguous range per worker of a process pool that is sent the config and
+    that env; the ranges come back in order, so the record is identical either way."""
+    trials = config.trials
+    threads = min(threads, trials, os.cpu_count() or 1)
     if threads <= 1:
-        return _trial_rows(config, env, indices, psi_ks)
-    chunks = [indices[i::threads] for i in range(threads)]
+        return _trial_rows(config, env, range(trials), psi_ks)
+    ranges = [range(lo, hi) for lo, hi in pairwise(trials * i // threads for i in range(threads + 1))]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_trial_rows, [config] * threads, [env] * threads, chunks, [psi_ks] * threads))
-    merged = [row for part in parts for row in part]
-    merged.sort(key=lambda row: row["trial"])
-    return merged
+        parts = pool.map(_trial_rows, [config] * threads, [env] * threads, ranges, [psi_ks] * threads)
+        return [row for part in parts for row in part]

@@ -79,8 +79,8 @@ class BlockDensity:
 class DensitySchedule(Doc):
     """A density per element of `elements`, stored as its maximal constant
     runs: `segments` holds (start, size, delta), size >= 1, in order, no two
-    neighbours equal. It is built from one density per element, one run per
-    run of a shared object; `densities`, that per-element view, is derived."""
+    neighbours equal. It is built from one density per element; `densities`,
+    that per-element view, is derived."""
 
     elements: tuple[int, ...]
     segments: tuple[tuple[int, int, Fraction], ...]
@@ -89,8 +89,7 @@ class DensitySchedule(Doc):
     diagnostics: dict | None = field(compare=False)
 
     def __init__(self, elements, densities, kind="custom", diagnostics=None) -> None:
-        runs = [list(run) for _, run in groupby(densities, key=id)]
-        self._set(elements, [(len(run), run[0]) for run in runs], None, kind, diagnostics)
+        self._set(elements, [(sum(1 for _ in run), d) for d, run in groupby(densities)], None, kind, diagnostics)
 
     def _set(self, elements, runs: list[tuple[int, Fraction]], blocks, kind: str, diag) -> "DensitySchedule":
         # every schedule is built here from (size, delta) runs: each delta is checked
@@ -419,12 +418,13 @@ def decreasing_density_schedule(
 ) -> DensitySchedule:
     """Nonincreasing per-element density schedules.
 
-    power_law: delta_k = min(1, k^-alpha) with 0 <= alpha <= 1 (stored as the
-    exact binary rational of the float when irrational). pace_based: running
-    minimum of the relative gap (|n_k|-|n_{k-1}|)/|n_{k-1}|. custom: caller's
-    densities, rejected unless nonincreasing. Diagnostics report the actual
-    finite-data ratios for the decrease conditions over k >= max(1, n // 4),
-    not verdicts.
+    power_law: delta_k = min(1, k^-alpha) with 0 <= alpha <= 1; alpha 0 and 1
+    give exact 1 and 1/k, and for 0 < alpha < 1 each delta_k is the exact binary
+    rational of the float, rational values included (9^-0.5 is stored as
+    6004799503160661/2^54, not 1/3). pace_based: running minimum of the
+    relative gap (|n_k|-|n_{k-1}|)/|n_{k-1}|. custom: caller's densities,
+    rejected unless nonincreasing. Diagnostics report the actual finite-data
+    ratios for the decrease conditions over k >= max(1, n // 4), not verdicts.
     """
     n = len(E)
     if n == 0:

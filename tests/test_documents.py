@@ -4,6 +4,7 @@ decimal in the program's own terms."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +228,9 @@ def test_only_a_long_integer_literal_is_refused_in_the_readers_terms():
     with pytest.raises(UnicodeDecodeError):
         IntegerSet.from_json(b"\xff")
     assert IntegerSet.from_json(b'{"elements": [1, 2]}').elements == (1, 2)
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == L.__version__

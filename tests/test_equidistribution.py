@@ -375,6 +375,35 @@ def test_circle_point_residues_must_fit_int64():
     assert CirclePoint.rational(1, 2**63 - 1).q == 2**63 - 1
 
 
+def _sign_mod_gcd(a, q):
+    # the reduction CirclePoint.rational made by hand before it took Fraction(a, q) % 1
+    if q < 0:
+        a, q = -a, -q
+    a %= q
+    g = math.gcd(a, q)
+    return a // g, q // g
+
+
+_TURN_INTS = st.one_of(st.integers(-50, 50), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TURN_INTS, _TURN_INTS.filter(bool))
+@example(0, -5)
+@example(-3, -6)
+@example(7, 7)
+@example(-(2**63), 2**64)
+@example(1, -(2**63))
+def test_rational_point_reduces_as_sign_mod_gcd(a, q):
+    a_ref, q_ref = _sign_mod_gcd(a, q)
+    if q_ref >= 1 << 63:
+        with pytest.raises(ValueError, match=r"so q < 2\^63"):
+            CirclePoint.rational(a, q)
+    else:
+        point = CirclePoint.rational(a, q)
+        assert (point.a, point.q) == (a_ref, q_ref)
+
+
 def test_rational_points_farey_grid():
     pts = rational_points(5)
     labels = {p.label() for p in pts}
@@ -733,21 +762,6 @@ def test_grid_fill_is_the_loop_bit_for_bit():
     assert _bits(grid_values({}, 8)) == _bits(np.zeros(8))
 
 
-def test_grid_sup_keeps_one_grid_sized_complex_array():
-    # at M = 2^20 the grid is 16 MiB; the fill and the transform reuse it, and only
-    # one 8 MiB part and the 8 MiB moduli pass beside it
-    E = generate_primes(1 << 18)
-    freqs, coeffs = E.array, np.linspace(-1.0, 1.0, len(E))
-    tracemalloc.start()
-    try:
-        report = _grid_sup(freqs, coeffs, E.max_abs, 1 << 20, 1 << 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.grid_size == 1 << 20 and report.certified
-    assert peak < 32 << 20
-
-
 def _grid_sup_peak(freqs, coeffs, N):
     tracemalloc.start()
     try:
@@ -887,6 +901,14 @@ def test_summing_matrix_random_nonincreasing_rational():
             dens.append(cur)
         sched = DensitySchedule(tuple(range(1, n + 1)), tuple(dens))
         assert summing_matrix_check(sched).all_ok
+
+
+def test_summing_matrix_leaves_the_sigma_memo_as_it_was():
+    sched = decreasing_density_schedule(generate_integers(60), "power_law", alpha=1.0)
+    memo = dict(sched._sigma)
+    assert summing_matrix_check(sched).all_ok
+    assert summing_matrix_check(sched, [5, 60]).all_ok
+    assert sched._sigma == memo
 
 
 def test_summing_matrix_flags_increasing_schedule():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -435,6 +436,19 @@ def test_record_save_is_append_only(tmp_path):
     assert json.loads(p1.read_text())["config_hash"] == record.config_hash
 
 
+def test_record_save_never_overwrites_a_record_made_since_its_check(tmp_path, monkeypatch):
+    # another run of the config, in the same second, writes the first file; with
+    # Path.exists always False the window between a check and a write stays open
+    record = run_block_independence(small_block_config(trials=5))
+    first = save_record(record, tmp_path)
+    first_bytes = first.read_bytes()
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    second = save_record(dataclasses.replace(record, elapsed_seconds=record.elapsed_seconds + 1), tmp_path)
+    assert second == first.with_name(f"{first.stem}-1.json")
+    assert first.read_bytes() == first_bytes
+    assert json.loads(second.read_text())["elapsed_seconds"] == record.elapsed_seconds + 1
+
+
 def test_record_rerun_byte_identical_modulo_timestamps(tmp_path):
     cfg = small_cert_config(trials=6)
     a = run_certification(cfg)
@@ -455,6 +469,42 @@ def test_cli_generate_primes(tmp_path, capsys):
     assert code == EXIT_OK
     doc = json.loads(out.read_text())
     assert len(doc["elements"]) == 25
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000001,)"), "Unable to allocate 74.5 GiB"),
+        (MemoryError(), "MemoryError"),  # what a failed allocation of Python's own raises
+    ],
+    ids=["numpy", "bare"],
+)
+def test_cli_allocation_failure_ends_in_exit_3(monkeypatch, capsys, exc, message):
+    def too_large(limit):
+        raise exc
+
+    monkeypatch.setattr("lacunary.cli.generate_primes", too_large)
+    assert main(["generate", "--primes", "--limit", "10000000000"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_cli_elements_digest_is_the_sha256_of_the_lines_file(tmp_path):
+    from lacunary import blockwise_schedule, decompose, dyadic_partition
+
+    lines = tmp_path / "primes.lines"
+    assert main(["generate", "--primes", "--limit", "500", "--format", "lines", "--out-file", str(lines)]) == EXIT_OK
+    digest = hashlib.sha256(lines.read_bytes()).hexdigest()
+    E = IntegerSet.from_lines(lines.read_text())
+    D = decompose(E, dyadic_partition(9))
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)]).to_json())
+    bitmap = tmp_path / "bitmap.json"
+    argv = ["select", "--set", str(lines), "--schedule", str(schedule), "--format", "bitmap", "--out-file", str(bitmap)]
+    assert main(argv) == EXIT_OK
+    assert json.loads(schedule.read_text())["elements_sha256"] == digest
+    assert json.loads(bitmap.read_text())["elements_sha256"] == digest
 
 
 def test_cli_generate_polynomial_lines(capsys):
