@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -35,6 +36,7 @@ EXCLUSION_RADIUS_SCALE = 0.05
 _EXCLUSION_JSON = {"denominator_cap": EXCLUSION_DENOMINATOR, "radius_scale": EXCLUSION_RADIUS_SCALE}
 # a modulus below one CPython digit keeps a bignum % on its single-digit path
 _DIGIT = 1 << sys.int_info.bits_per_digit
+_FOLD_TERMS = 8  # a parity class this small is summed directly; the other takes a half-size FFT
 
 
 @dataclass(frozen=True)
@@ -329,6 +331,30 @@ def _fast_grid_size(n: int) -> int:
     return best
 
 
+def _phases(c: float, b: int, M: int, L: int) -> np.ndarray:
+    """c e(-b t / M) for t < L: the outer product of two sqrt(L)-point tables over exact residues."""
+    s = math.isqrt(L - 1) + 1
+    step = -2j * np.pi / M
+    hi = c * np.exp(step * (np.arange(-(-L // s)) * (b * s % M) % M))
+    return np.multiply.outer(hi, np.exp(step * (np.arange(s) * b % M))).ravel()[:L]
+
+
+def _real_sup(bins: np.ndarray, coeffs: np.ndarray, M: int) -> float:
+    """_grid_sup's real path, on the bins n mod M of its frequencies."""
+    odd = (bins & 1).astype(bool)
+    n_odd = int(np.count_nonzero(odd))
+    if M % 2 or min(n_odd, len(bins) - n_odd) > _FOLD_TERMS:
+        return float(np.max(np.abs(np.fft.rfft(np.bincount(bins, coeffs, M)))))
+    dense = odd if 2 * n_odd >= len(bins) else ~odd
+    Y = np.fft.rfft(np.bincount(bins[dense] >> 1, coeffs[dense], M // 2))
+    if dense is odd:
+        Y *= _phases(1.0, 1, M, len(Y))
+    A = np.zeros_like(Y)
+    for b, c in zip(bins[~dense].tolist(), coeffs[~dense].tolist()):
+        A += _phases(c, b, M, len(Y))
+    return max(float(np.max(np.abs(A + Y))), float(np.max(np.abs(A - Y))))
+
+
 def _grid_sup(freqs: np.ndarray, coeffs: np.ndarray, N: int, size: int, grid_cap: int) -> GridSupReport:
     """The sup of a polynomial over the M-th roots of unity, M = min(size,
     grid_cap), on a support already cut to nonzero coefficients whose largest
@@ -343,9 +369,17 @@ def _grid_sup(freqs: np.ndarray, coeffs: np.ndarray, N: int, size: int, grid_cap
     sqrt(cos(pi W / M)) for M > 2W, about 1.19 x grid max at M >= 4N >= 4W
     (positive supports). A grid below 4N points leaves only a lower estimate.
 
-    Real (float) coefficients, psi's, take the real-input FFT of a float grid;
-    complex ones take the complex inverse FFT of _grid_values.
+    Complex coefficients take the complex inverse FFT of _grid_values; real
+    (float) ones, psi's, take rfft of its real part, whose M//2 + 1 outputs
+    hold every modulus (the value at M - t conjugates the one at t). When M is
+    even and one parity class of the bins b = n mod M holds at most _FOLD_TERMS
+    terms (the odd primes and 2), the grid folds by parity (Cooley-Tukey): with
+    Y = rfft of the dense class at bin b >> 1 of M/2 points and A(t) = the sum
+    of the sparse terms' c e(-b t / M), p(t) = A + w Y and p(t + M/2) = +-(A -
+    w Y) for t <= M/4, w = e(-t/M) if the dense class is odd and 1 if even.
     """
+    if grid_cap < 1:
+        raise ValueError(f"grid_cap must be >= 1, got {grid_cap}")
     if len(coeffs) == 0:
         return GridSupReport(0.0, 0.0, True, 1, False, 0)
     M = min(size, grid_cap)
@@ -353,9 +387,7 @@ def _grid_sup(freqs: np.ndarray, coeffs: np.ndarray, N: int, size: int, grid_cap
     if np.iscomplexobj(coeffs):
         S = float(np.max(np.abs(_grid_values(freqs, coeffs, M))))
     else:
-        # the float grid _grid_values fills as its real part; the value at M - r
-        # conjugates the one at r, so rfft's M//2 + 1 outputs hold every modulus
-        S = float(np.max(np.abs(np.fft.rfft(np.bincount(np.mod(freqs, M).astype(np.int64), coeffs, M)))))
+        S = _real_sup(np.mod(freqs, M).astype(np.int64), coeffs, M)
     return GridSupReport(
         coarse_sup=S,
         bound=5.0 * S,
@@ -400,8 +432,8 @@ def psi(
     degree, capped at grid_cap. Like the 4N grid of sup_norm_via_grid it
     certifies the true sup to within 4.66x, and its FFT avoids Bluestein's
     algorithm; a grid cut below 4N by the cap is uncertified. The coefficients
-    (flag/count - delta/sigma_k) are real, so the sup is taken from the
-    real-input FFT, whose M//2 + 1 outputs hold every modulus of the grid.
+    (flag/count - delta/sigma_k) are real: the sup comes from a real-input FFT,
+    of half size when M is even and at most _FOLD_TERMS terms have even (or odd) bins.
     """
     if not 1 <= k <= len(E):
         raise ValueError("k must satisfy 1 <= k <= |E|")
@@ -415,7 +447,9 @@ def psi(
     if count == 0:
         raise ValueError("psi undefined: empty selection prefix")
     sigma_f = float(sigma_k)
-    coeffs = np.where(flags, 1.0 / count, 0.0) - schedule.density_floats()[:k] / sigma_f
+    segs = schedule.segments[: bisect_left(schedule.segments, k, key=lambda g: g[0])]  # those that start below k
+    dens = np.repeat([float(d) for _, _, d in segs], [n for _, n, _ in segs])[:k]
+    coeffs = np.where(flags, 1.0 / count, 0.0) - dens / sigma_f
     # zero coefficients leave the support, and with it the degree N
     keep = np.flatnonzero(coeffs != 0.0)
     N = abs(E.elements[keep[-1]]) if len(keep) else 0

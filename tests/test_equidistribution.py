@@ -800,6 +800,78 @@ def test_real_transform_sup_matches_the_complex_loop(M):
     assert abs(got.coarse_sup - complex_sup) <= 1e-12 * float(np.sum(np.abs(coeffs)))
 
 
+def _parity_spectrum(rng, M, parity, dense, sparse):
+    """`dense` terms at frequencies of one parity and `sparse` at the other,
+    with negative, int64-boundary and bignum frequencies among them."""
+    spectrum = {}
+    for par, count in ((parity, dense), (1 - parity, sparse)):
+        pool = list(dict.fromkeys(2 * int(m) + par for m in rng.integers(-M - 1000, M + 1000, 3 * count)))
+        pool[1:1] = [-(2**63) + 2 + par, 2**63 - 2 + par, 3**50 - 1 + par, -(2**70) + par]
+        spectrum.update((n, float(rng.standard_normal())) for n in pool[:count])
+    return spectrum
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 20, 125, 1024, 933_120])
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd_dense", "even_dense"])
+@pytest.mark.parametrize("sparse", [0, 1, 8, 9])
+def test_parity_fold_matches_the_plain_transform(M, parity, sparse):
+    # an even grid folds when one parity class holds at most _FOLD_TERMS = 8
+    # terms; 9 terms, and every odd grid, take the plain transform unchanged
+    rng = np.random.default_rng([M, parity, sparse])
+    spectrum = _parity_spectrum(rng, M, parity, 300, sparse)
+    assert sum(n % 2 != parity for n in spectrum) == sparse and len(spectrum) == 300 + sparse
+    coeffs = np.array(list(spectrum.values()))
+    got = _grid_sup(np.array(list(spectrum), dtype=object), coeffs, max(map(abs, spectrum)), M, M)
+    assert got.grid_size == M and got.cap_active
+    plain = _loop_real_sup(spectrum, M)
+    if M % 2 or sparse > 8:
+        assert got.coarse_sup == plain
+    assert abs(got.coarse_sup - plain) <= 1e-12 * float(np.sum(np.abs(coeffs)))
+
+
+@pytest.mark.parametrize("M", [2, 20, 1024, 933_120])
+def test_parity_fold_on_small_spectra_primes_and_squares(M):
+    rng = np.random.default_rng(M)
+    cases = [
+        {n: float(rng.standard_normal()) for n in generate_primes(4000)},  # odd-dense, 2 alone
+        {n: float(rng.standard_normal()) for n in generate_polynomial([0, 0, 1], 300)},  # both classes dense
+        {n: float(rng.standard_normal()) for n in (3, -5, 2**70, 3**50, 2**63 - 1)},  # both classes sparse
+        {4 * n: float(rng.standard_normal()) for n in range(1, 400)},  # even only
+    ]
+    for spectrum in cases:
+        coeffs = np.array(list(spectrum.values()))
+        got = _grid_sup(np.array(list(spectrum), dtype=object), coeffs, max(map(abs, spectrum)), M, M)
+        assert abs(got.coarse_sup - _loop_real_sup(spectrum, M)) <= 1e-12 * float(np.sum(np.abs(coeffs)))
+
+
+def test_parity_fold_on_a_cap_active_psi_grid():
+    # psi on the primes under a cap well below 4N: the folded grid is the capped one
+    E = generate_primes(2**16)
+    D = decompose(E, dyadic_partition(16))
+    sched = blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)])
+    trial = select(E, sched, 8)
+    spectrum = _psi_dict_spectrum(E, trial, sched, len(E))
+    for cap in (1 << 12, 6 * 5**4, 2):
+        got = psi(E, trial, sched, len(E), cap)
+        assert got.cap_active and got.grid_size == cap
+        tol = 1e-12 * sum(map(abs, spectrum.values()))
+        assert abs(got.value - _loop_real_sup(spectrum, cap)) <= tol
+        assert got.certified_bound == 5.0 * got.value
+
+
+@pytest.mark.parametrize("cap", [0, -8])
+def test_grid_cap_below_one_refused_by_name(cap):
+    E = IntegerSet.from_iterable([1, 3, 4, 7, 11, 18, 29, 31])
+    sched = uniform_schedule(E, Fraction(1, 2))
+    trial = select(E, sched, 99)
+    message = f"grid_cap must be >= 1, got {cap}"
+    with pytest.raises(ValueError, match=message):
+        psi(E, trial, sched, len(E), grid_cap=cap)
+    for spectrum in ({1: 1.0, 5: -0.5}, {1: 1j}, {}):
+        with pytest.raises(ValueError, match=message):
+            sup_norm_via_grid(spectrum, grid_cap=cap)
+
+
 def test_sup_norm_via_grid_takes_the_complex_transform_only_for_complex_spectra():
     spectrum = {-3: 1.0, 2: -0.5 + 0.25j, 61: 2.0, 3**50: 0.1, -(3**45): -0.3j, 125: 1 / 3}
     for M in (64, 7, 1 << 10):

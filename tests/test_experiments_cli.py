@@ -653,6 +653,21 @@ def test_cli_psi_pipeline_files(tmp_path, capsys):
     assert doc["k"] == 200 and doc["value"] >= 0
 
 
+@pytest.mark.parametrize("cap", ["0", "-8"])
+def test_cli_psi_grid_cap_below_one_exits_3(tmp_path, capsys, cap):
+    from lacunary import generate_primes, select, uniform_schedule
+
+    E = generate_primes(200)
+    sched = uniform_schedule(E, 0.5)
+    files = {"set": E.to_json(), "schedule": sched.to_json(), "trial": select(E, sched, 3).to_json()}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [a.format(**{n: str(tmp_path / f"{n}.json") for n in files}) for a in _PSI]
+    assert main([*argv, "--grid-cap", cap]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: grid_cap must be >= 1, got {cap}" in captured.err
+
+
 def test_cli_montecarlo_dependence(tmp_path, capsys):
     setfile = tmp_path / "set.json"
     main(["generate", "--integers", "--n-max", "512", "--out-file", str(setfile)])
@@ -1001,7 +1016,7 @@ SMALL_BLOCK_PAYLOAD_SHA256 = "d172130ef54243ffa9304e0ece9bd94772e5cdaadcf15c2630
 SMALL_CERT_NO_FFT_PAYLOAD_SHA256 = "f3654fde93114cd5375ddf317d6631938bd9970e6b195de3ea9e444ca30f6978"
 # the whole small certification record: psi at two checkpoints and the scan.
 # It hashes FFT and np.exp output, so it holds for one numpy build (2.4.6 on x86-64)
-SMALL_CERT_PAYLOAD_SHA256 = "f4a8e7c775fd1103879d1af72bc76f14ca8a1cea2b4e848c46db896a75092c14"
+SMALL_CERT_PAYLOAD_SHA256 = "fada0defd139e4e01dc1e55ef10d41d53552313b7b7cd58df972a2a0e8b8330f"
 
 
 def test_config_hashes_and_record_bytes_pinned():

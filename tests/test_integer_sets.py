@@ -346,12 +346,18 @@ def test_int64_boundary_matches_python_references(top):
         M = min(natural, cap)
         value = _loop_real_sup(spectrum, M)
         sigma = float(sched.sigma_at(k))
+        got = psi(E, trial, sched, k, cap)
+        # the parity fold of an even grid sums in another order than the plain
+        # transform, so the sup moves by ulps; every other field is exact
+        tol = 1e-12 * sum(map(abs, spectrum.values()))
+        assert abs(got.value - value) <= tol and abs(got.certified_bound - 5.0 * value) <= 5 * tol
+        assert got.certified_bound == 5.0 * got.value
         expected = PsiPoint(
-            k=k, value=value, certified_bound=5.0 * value, certified=natural <= cap, grid_size=M,
+            k=k, value=got.value, certified_bound=got.certified_bound, certified=natural <= cap, grid_size=M,
             cap_active=natural > cap, sigma_k=sigma, selected_count=sum(n in trial.selected for n in E.elements[:k]),
             a_k=math.sqrt(12.0 * sigma * ln_int(abs(E.elements[k - 1]))),
         )
-        assert psi(E, trial, sched, k, cap) == expected
+        assert got == expected
 
     # Weyl means and scan moduli against term-by-term characters of the exact residues;
     # n * a stays below INT64_SAFE on the short prefixes and crosses it on the full set
