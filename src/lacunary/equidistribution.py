@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -447,8 +446,7 @@ def psi(
     if count == 0:
         raise ValueError("psi undefined: empty selection prefix")
     sigma_f = float(sigma_k)
-    segs = schedule.segments[: bisect_left(schedule.segments, k, key=lambda g: g[0])]  # those that start below k
-    dens = np.repeat([float(d) for _, _, d in segs], [n for _, n, _ in segs])[:k]
+    dens = schedule.density_floats()[:k]
     coeffs = np.where(flags, 1.0 / count, 0.0) - dens / sigma_f
     # zero coefficients leave the support, and with it the degree N
     keep = np.flatnonzero(coeffs != 0.0)

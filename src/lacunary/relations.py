@@ -4,17 +4,21 @@ counting.
 A relation of length m is an ordered tuple of nonzero integers summing to 0
 with total weight sum(|z_i|) <= 2s; lengths run from 3 to 2s (length 2 is the
 identity relation and is excluded). A set is s-independent when no relation
-vanishes on any tuple of distinct elements. All arithmetic is exact.
+vanishes on any tuple of distinct elements, that is when its s-multiset sums
+are distinct: a relation's sides, padded to size s by one element, collide,
+and two colliding multisets less their common part are a relation. All
+arithmetic is exact. Distinct sums mod the prime P decide a set whose
+C(n + s - 1, s) sums fit MITM_MEMORY_BUDGET.
 
-One kernel searches for witnesses: it joins a table of inner index tuples to
-a walk over outer ones on residues mod the prime P, counts each target's
-matches from a run-end array over the sorted inner sums, and verifies each
-match in exact integers. Both are built in chunks of the lexicographic product
-table of indices, cut to distinct indices, so MITM_MEMORY_BUDGET, counting
-kept rows, bounds a search's memory. A witness is the first under one of two
+On a collision, or past that budget, one kernel searches for the witness: it
+joins inner index tuples to a walk over outer ones on residues mod P, counts
+each target's matches from a run-end array over the sorted inner sums, and
+verifies each match exactly. Both are built in chunks of the lexicographic
+product table, cut to distinct indices, so MITM_MEMORY_BUDGET, counting kept
+rows, bounds a search's memory. A witness is the first under one of two
 orders: the lexicographic order on the whole tuple while perm(n, m - 1) <=
 DFS_BUDGET (and for int64 sets at m = 3), else meet in the middle at a split
-h, whose tables stay within one MITM_MEMORY_BUDGET and MITM_TIME_BUDGET.
+h within one MITM_MEMORY_BUDGET and MITM_TIME_BUDGET; a larger search is refused.
 """
 
 from __future__ import annotations
@@ -232,6 +236,18 @@ def _sums(res: dict[int, np.ndarray], coeffs: tuple[int, ...], idx: np.ndarray) 
     return total
 
 
+@lru_cache(maxsize=128)
+def _multisets(n: int, s: int) -> np.ndarray:
+    """Index rows i_1 <= ... <= i_s below n (int32, read-only), one per s-multiset, in lexicographic order."""
+    idx = np.arange(n, dtype=np.int32)[:, None]
+    for _ in range(s - 1):  # each row goes on with every index from its last one up
+        cnt = n - idx[:, -1]  # row r repeats cnt[r] times; its run ends at cnt.cumsum()[r], on index n - 1
+        new = np.arange(cnt.sum(), dtype=np.int32) - np.repeat(cnt.cumsum(dtype=np.int32) - n, cnt)
+        idx = np.column_stack((np.repeat(idx, cnt, axis=0), new))
+    idx.setflags(write=False)
+    return idx
+
+
 class _Residues(dict):
     """c * q mod P for every element q, per coefficient c, built on first use."""
 
@@ -338,8 +354,12 @@ def is_s_independent(E: IntegerSet | Sequence[int], s: int) -> IndependenceRepor
         E = IntegerSet.from_iterable(E)
     if s == 1 or len(E) < 3:
         return IndependenceReport(independent=True, s=s)
-    res = _Residues(E.elements)
-    for coeffs in _search_reps(s):
+    reps, res, rows = _search_reps(s), _Residues(E.elements), comb(len(E) + s - 1, s)  # _search_reps checks the s cap
+    if rows <= MITM_MEMORY_BUDGET:  # distinct s-multiset sums: independent (module docstring)
+        sums = np.sort(_sums(res, (1,) * s, (_multisets if rows <= _ROWS else _multisets.__wrapped__)(len(E), s)))
+        if (sums[1:] != sums[:-1]).all():
+            return IndependenceReport(independent=True, s=s)
+    for coeffs in reps:
         witness = _find_witness(coeffs, E, res)
         if witness is not None:
             return IndependenceReport(

@@ -14,6 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, repeat
 from typing import Sequence
 
@@ -123,10 +124,16 @@ class DensitySchedule(Doc):
             self._sigma[k] = sum(parts, Fraction(0))
         return self._sigma[k]
 
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        """density_floats' array, read-only: kept beside _sigma, in no field, so equality and JSON ignore it."""
+        floats = np.repeat([float(delta) for *_, delta in self.segments], [size for _, size, _ in self.segments])
+        floats.flags.writeable = False
+        return floats
+
     def density_floats(self) -> np.ndarray:
-        """float(delta_j) for every element, one conversion per segment."""
-        values = np.array([float(delta) for _, _, delta in self.segments], dtype=np.float64)
-        return np.repeat(values, np.array([size for _, size, _ in self.segments], dtype=np.int64))
+        """float(delta_j) for every element (read-only), one conversion per segment, once per schedule."""
+        return self._floats
 
     def aligned_with(self, E: IntegerSet) -> bool:
         return self.elements == E.elements

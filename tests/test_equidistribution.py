@@ -723,7 +723,9 @@ def test_psi_array_path_equals_dict_path(source):
     ref = sup_norm_via_grid(spectrum, grid_cap=cap)
     assert got.cap_active and not got.certified and got.grid_size == cap
     assert (got.value, got.certified_bound, got.grid_size) == (ref.coarse_sup, ref.bound, ref.grid_size)
-    assert got.value == _loop_real_sup(spectrum, cap)
+    # the parity fold sums in another order than the plain transform, so
+    # against the loop reference the sup may move by ulps
+    assert abs(got.value - _loop_real_sup(spectrum, cap)) <= 1e-12 * sum(map(abs, spectrum.values()))
     if source == "primes":
         assert len({n % cap for n in spectrum}) < len(spectrum)  # bins collide
 
@@ -879,9 +881,10 @@ def test_sup_norm_via_grid_takes_the_complex_transform_only_for_complex_spectra(
         assert got.coarse_sup == float(np.max(np.abs(_loop_grid_values(spectrum, M))))
         # imaginary parts that are all zero, -0.0 among them, leave a real spectrum
         real = {n: complex(c.real, -0.0 if n < 0 else 0.0) for n, c in spectrum.items()}
-        assert sup_norm_via_grid(real, grid_cap=M).coarse_sup == _loop_real_sup(
-            {n: c.real for n, c in spectrum.items()}, M
-        )
+        reals = {n: c.real for n, c in spectrum.items()}
+        # the real path folds even grids by parity, so the sup may move by ulps
+        tol = 1e-12 * sum(map(abs, reals.values()))
+        assert abs(sup_norm_via_grid(real, grid_cap=M).coarse_sup - _loop_real_sup(reals, M)) <= tol
 
 
 def test_psi_series_diagnostics():

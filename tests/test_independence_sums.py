@@ -1,0 +1,130 @@
+"""is_s_independent decides by the s-multiset sums: a set is s-independent
+iff all its C(n + s - 1, s) sums of s-multisets are distinct (a B_s set). The
+witness search runs only on a residue collision, so every report must equal
+the earlier gate's, and sets whose search the budgets refuse are decided when
+their sums are distinct."""
+
+import hashlib
+import json
+from itertools import combinations_with_replacement
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lacunary import IntegerSet, RelationExplosionError, is_s_independent
+from lacunary import relations
+from lacunary.relations import P, _find_witness, _multisets, _Residues, _search_reps
+
+import _oracles
+
+
+def _distinct_sums(elems, s):
+    """The B_s property in exact integers."""
+    sums = [sum(t) for t in combinations_with_replacement(elems, s)]
+    return len(set(sums)) == len(sums)
+
+
+def _report_tuple(report):
+    return report.independent, report.witness_relation, report.witness_elements
+
+
+# offsets that carry small sets across the int64 edge (max |n| near 2^63) and
+# into bignum range; relations see only the differences when sum(c) = 0
+_OFFSETS = {
+    "signed": (0,),
+    "int64_boundary": (2**63 - 41, -(2**63) + 40, 2**62, -(2**62) - 7),
+    "bignum": (2**90, -(3**60)),
+}
+
+
+@st.composite
+def _sets(draw, max_size):
+    kind = draw(st.sampled_from(("signed", "zero", "int64_boundary", "bignum", "scaled")))
+    span = draw(st.sampled_from((8, 40, 300)))
+    small = draw(st.lists(st.integers(-span, span), max_size=max_size, unique=True))
+    if kind == "zero":
+        return IntegerSet.from_iterable(set(small[: max_size - 1]) | {0})
+    if kind == "scaled":
+        return IntegerSet.from_iterable(q * 3**45 for q in small)
+    offset = draw(st.sampled_from(_OFFSETS[kind]))
+    return IntegerSet.from_iterable(offset + q for q in small)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_reports_equal_the_earlier_gate_and_the_sum_test(data):
+    s = data.draw(st.sampled_from((2, 3, 4)), label="s")
+    E = data.draw(_sets({2: 14, 3: 10, 4: 9}[s]), label="E")
+    report = is_s_independent(E, s)
+    assert _report_tuple(report) == _oracles.reference_independence(E, s, _search_reps(s))
+    assert report.independent == _distinct_sums(E.elements, s)
+
+
+@pytest.mark.parametrize("n, s", [(1, 1), (1, 4), (5, 1), (6, 2), (7, 3), (5, 4), (30, 2)])
+def test_multiset_table_lists_each_multiset_once_in_order(n, s):
+    table = _multisets.__wrapped__(n, s)
+    assert table.tolist() == [list(t) for t in combinations_with_replacement(range(n), s)]
+    assert table.dtype.name == "int32" and not table.flags.writeable
+
+
+def test_a_residue_collision_reaches_the_search_and_comes_back_independent():
+    # every multiple of P has residue 0, so all sums collide; the set is
+    # 2-independent all the same, which only the exact search can tell
+    spy = mock.patch.object(relations, "_find_witness", wraps=relations._find_witness)
+    with spy as find:
+        report = is_s_independent([P, 2 * P, 5 * P], 2)
+    assert report.independent and find.called
+    with spy as find:
+        report = is_s_independent([1, 2, 4], 2)  # sums 2, 3, 4, 5, 6, 8: decided by the sums
+    assert report.independent and not find.called
+    with spy as find:
+        report = is_s_independent([1, 2, 3], 2)  # 1 + 3 = 2 + 2
+    assert not report.independent and find.called
+    assert _report_tuple(report) == _oracles.reference_independence(IntegerSet((1, 2, 3)), 2, _search_reps(2))
+
+
+def test_the_s_cap_is_checked_before_the_sums():
+    with pytest.raises(RelationExplosionError):
+        is_s_independent([11, 121, 1331], 5)
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+def test_certificates_cases_match_the_earlier_gate(seed, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import INDEPENDENCE_CASES, Certificates
+
+    sets, _ = Certificates(seed)._raw_sets()
+    docs = []
+    for name, s in INDEPENDENCE_CASES:
+        E = IntegerSet.from_iterable(sets[name])
+        report = is_s_independent(E, s)
+        assert _report_tuple(report) == _oracles.reference_independence(E, s, _search_reps(s)), name
+        docs.append(report.to_json_dict())
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    # the reports' bytes as the witness search alone wrote them
+    assert digest == {
+        11: "f59dd750356a258c9ec962e6ba1ca500de0e6c2a79d4c79916550a971d06fb09",
+        23: "5c8a4c509dabc7805a9696d6dd682d1bde0683f20e0d3f099b520ff70a0c859a",
+    }[seed]
+
+
+@pytest.mark.parametrize(
+    "top, s, message",
+    [
+        (210, 3, r"\|E\|=210, relation length 6 \(enumeration 389283935040 tuples exceeds budgets\)"),
+        (2900, 2, r"\|E\|=2900, relation length 4 \(enumeration 24363775800 tuples exceeds budgets\)"),
+    ],
+    ids=["3^1..3^210-s3", "3^1..3^2900-s2"],
+)
+def test_sets_the_search_budget_refuses_are_decided_by_their_sums(top, s, message):
+    # 3^k is s-independent for s <= 3 (see bench/workloads.py); its
+    # C(top + s - 1, s) sums fit MITM_MEMORY_BUDGET, so no search runs
+    E = IntegerSet(tuple(3**k for k in range(1, top + 1)))
+    with mock.patch.object(relations, "_find_witness", side_effect=AssertionError("searched")):
+        assert _report_tuple(is_s_independent(E, s)) == (True, None, None)
+    # the search at the longest relation length is past every budget
+    longest = max(_search_reps(s), key=len)
+    with pytest.raises(ValueError, match=message):
+        _find_witness(longest, E, _Residues(E.elements))

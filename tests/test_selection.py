@@ -422,6 +422,24 @@ def test_segments_are_the_densities(sched):
     assert covered == n
 
 
+def test_density_floats_are_converted_once_per_schedule():
+    E = generate_polynomial([0, 0, 1], 2000)
+    sched = decreasing_density_schedule(E, "power_law", alpha=1.0)  # one segment per element
+    floats = sched.density_floats()
+    assert sched.density_floats() is floats and not floats.flags.writeable
+    assert floats.tolist() == [float(d) for d in sched.densities]
+    # the memo is no field: a schedule that has not built it is equal, and
+    # its JSON and psi are the same bytes
+    fresh = DensitySchedule(E.elements, sched.densities, kind=sched.kind)
+    assert "_floats" not in vars(fresh) and fresh == sched
+    trial = select(E, sched, 3)
+    assert psi(E, trial, fresh, len(E), 1 << 12) == psi(E, trial, sched, len(E), 1 << 12)
+    assert fresh.density_floats().tobytes() == floats.tobytes()
+    doc = sched.to_json_dict()
+    del doc["diagnostics"]
+    assert json.dumps(fresh.to_json_dict()) == json.dumps(doc)
+
+
 def test_trial_json_round_trip():
     E = generate_primes(200)
     sched = uniform_schedule(E, Fraction(1, 2))
