@@ -8,9 +8,12 @@ vanishes on any tuple of distinct elements, that is when its s-multiset sums
 are distinct: a relation's sides, padded to size s by one element, collide,
 and two colliding multisets less their common part are a relation. All
 arithmetic is exact. Distinct sums mod the prime P decide a set whose
-C(n + s - 1, s) sums fit MITM_MEMORY_BUDGET.
+C(n + s - 1, s) sums fit MITM_MEMORY_BUDGET, and when they collide, the
+colliding multisets hold every relation on the set, so they name the witness
+the kernel below would find, or raise its refusal.
 
-On a collision, or past that budget, one kernel searches for the witness: it
+A dense set (the square of its ordered colliding pairs exceeds its sums), or
+one past that budget, goes to the kernel, which searches for the witness: it
 joins inner index tuples to a walk over outer ones on residues mod P, counts
 each target's matches from a run-end array over the sorted inner sums, and
 verifies each match exactly. Both are built in chunks of the lexicographic
@@ -26,6 +29,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb, perm
 from typing import Iterable, Sequence
 
@@ -171,8 +175,9 @@ def dependence_probability_bound(s: int, ell: int, set_size: int) -> float:
 
 @lru_cache(maxsize=16)
 def _search_reps(s: int) -> tuple[tuple[int, ...], ...]:
-    """The orbit representatives under coordinate permutation whose sorted
-    tuple is no greater than its sorted negation: one of each pair under -1."""
+    """The orbit representatives under coordinate permutation, each a sorted
+    tuple no greater than its negation sorted: one of each pair under -1, in
+    order of length."""
     reps = (rel.coefficients for rel in enumerate_relations(s).representatives())
     return tuple(c for c in reps if sorted(c) <= sorted(-x for x in c))
 
@@ -324,26 +329,79 @@ def _mitm_witness(coeffs: tuple[int, ...], elems: Sequence[int], h: int, res=Non
     return _join(coeffs, elems, h, False, res)
 
 
-def _find_witness(coeffs: tuple[int, ...], E: IntegerSet, res: _Residues) -> tuple[int, ...] | None:
-    elems, n, m = E.elements, len(E), len(coeffs)
-    if n < m:
-        return None
+def _split(coeffs: tuple[int, ...], E: IntegerSet) -> int:
+    """The kernel's order for coeffs on E (|E| >= m): the key of a tuple is
+    (positions h.., positions ..h), where h = 0 is the lexicographic order and
+    h > 0 meet in the middle at split h; a search past the budgets is refused."""
+    n, m = len(E.elements), len(coeffs)
     # int64 sets keep the lexicographic order at m = 3 past DFS_BUDGET; being
     # int64-safe only picks the order, since the kernel is exact on any set
     if perm(n, m - 1) <= DFS_BUDGET or (m == 3 and E.max_abs * 2 * sum(map(abs, coeffs)) < INT64_SAFE):
-        return _dfs_witness(coeffs, elems, res=res)
+        return 0
     h = max([h for h in range(2, m // 2 + 1) if perm(n, h) <= MITM_MEMORY_BUDGET], default=1)
     if perm(n, h) <= MITM_MEMORY_BUDGET and perm(n, m - h) <= MITM_TIME_BUDGET:
-        return _mitm_witness(coeffs, elems, h, res)
+        return h
     raise ValueError(
         f"independence search too large: |E|={n}, relation length {m} "
         f"(enumeration {perm(n, m - 1)} tuples exceeds budgets)"
     )
 
 
+def _find_witness(coeffs: tuple[int, ...], E: IntegerSet, res: _Residues) -> tuple[int, ...] | None:
+    if len(E) < len(coeffs):
+        return None
+    h = _split(coeffs, E)
+    return _mitm_witness(coeffs, E.elements, h, res) if h else _dfs_witness(coeffs, E.elements, res)
+
+
+def _collision_report(
+    E: IntegerSet, s: int, reps: tuple[tuple[int, ...], ...], rows: int, hits: np.ndarray
+) -> IndependenceReport | None:
+    """The kernel's report, named from `hits`, the s-multiset index rows whose
+    residue sums collide; None for a dense set, where the square of the
+    ordered pairs of rows with equal sums exceeds its `rows` sums: each pair
+    costs interpreted work here, which past that point outgrows the numpy
+    work of the sums, and there the kernel finds its witness early.
+
+    Two rows with equal exact sums, less their common part, are a relation,
+    kept as its sorted (coefficient, index) pairs, and every relation is such
+    a pair of rows (module docstring). The reps go in the kernel's turn, so a
+    refusal raises where the kernel's would, and the first rep with a
+    relation, or a negated one, names the least key among their placements:
+    in key order each position takes its coefficient's least index left, which
+    gives the least key, rising along each run of equal coefficients on either
+    side of the split as the kernel's tables do."""
+    elems, by_sum = E.elements, defaultdict(list)
+    for row in hits.tolist():  # by exact sum, which parts spurious collisions
+        by_sum[sum([elems[i] for i in row])].append(row)
+    if sum([len(g) * (len(g) - 1) for g in by_sum.values()]) ** 2 > rows:
+        return None
+    shapes = defaultdict(set)  # relations under their sorted coefficients
+    for g in by_sum.values():
+        for a, b in combinations(g, 2):
+            rel = tuple(sorted([(c, i) for i in {*a, *b} if (c := a.count(i) - b.count(i))]))
+            shapes[tuple([c for c, _ in rel])].add(rel)
+    for coeffs in reps:
+        if len(E) >= (m := len(coeffs)):
+            h = _split(coeffs, E)
+            negated = shapes.get(tuple([-c for c in reversed(coeffs)]), ())
+            if rels := shapes.get(coeffs, set()) | {tuple(sorted([(-c, i) for c, i in rel])) for rel in negated}:
+                key_c = coeffs[h:] + coeffs[:h]
+                slot = sorted(range(m), key=key_c.__getitem__)  # key position of each sorted pair
+                pair = sorted(range(m), key=slot.__getitem__)  # sorted pair at each key position
+                key = min([tuple([rel[k][1] for k in pair]) for rel in rels])
+                witness = tuple([elems[i] for i in key[m - h :] + key[: m - h]])
+                return IndependenceReport(independent=False, s=s, witness_relation=coeffs, witness_elements=witness)
+    return IndependenceReport(independent=True, s=s)
+
+
 def is_s_independent(E: IntegerSet | Sequence[int], s: int) -> IndependenceReport:
     """Decide s-independence; on failure return the first witness found under
-    a fixed canonical enumeration order (deterministic, thread-free).
+    a fixed canonical enumeration order (deterministic, thread-free). Sets
+    whose s-multiset sums fit MITM_MEMORY_BUDGET are decided by those sums and,
+    unless dense, take their witness from the colliding ones; the rest run the
+    witness search (module docstring). Either way the report, or the refusal,
+    is the search's.
 
     s=1 is vacuously independent (no relations exist), as are sets with
     fewer than 3 elements.
@@ -352,13 +410,24 @@ def is_s_independent(E: IntegerSet | Sequence[int], s: int) -> IndependenceRepor
         raise ValueError("s must be >= 1")
     if not isinstance(E, IntegerSet):
         E = IntegerSet.from_iterable(E)
-    if s == 1 or len(E) < 3:
+    n = len(E)
+    if s == 1 or n < 3:
         return IndependenceReport(independent=True, s=s)
-    reps, res, rows = _search_reps(s), _Residues(E.elements), comb(len(E) + s - 1, s)  # _search_reps checks the s cap
+    reps, res, rows = _search_reps(s), _Residues(E.elements), comb(n + s - 1, s)  # _search_reps checks the s cap
     if rows <= MITM_MEMORY_BUDGET:  # distinct s-multiset sums: independent (module docstring)
-        sums = np.sort(_sums(res, (1,) * s, (_multisets if rows <= _ROWS else _multisets.__wrapped__)(len(E), s)))
-        if (sums[1:] != sums[:-1]).all():
+        table = (_multisets if rows <= _ROWS else _multisets.__wrapped__)(n, s)
+        raw = _sums(res, (1,) * s, table)
+        sums = np.sort(raw)
+        same = sums[1:] == sums[:-1]
+        if not (repeats := np.count_nonzero(same)):
             return IndependenceReport(independent=True, s=s)
+        # twice the repeats is a floor on the ordered colliding pairs when equal residues
+        # are equal sums (2s max|n| < P), so a set past the dense rule by it skips the grouping
+        if (2 * repeats) ** 2 <= rows or 2 * s * E.max_abs >= P:
+            dup = sums[1:][same]  # the repeated residue sums, rising; a row holding one collides
+            hits = table[dup[np.minimum(dup.searchsorted(raw), len(dup) - 1)] == raw]
+            if (report := _collision_report(E, s, reps, rows, hits)) is not None:
+                return report
     for coeffs in reps:
         witness = _find_witness(coeffs, E, res)
         if witness is not None:

@@ -887,6 +887,28 @@ def test_sup_norm_via_grid_takes_the_complex_transform_only_for_complex_spectra(
         assert abs(sup_norm_via_grid(real, grid_cap=M).coarse_sup - _loop_real_sup(reals, M)) <= tol
 
 
+
+def test_real_spectra_never_reach_the_complex_transform(monkeypatch):
+    # the complex transforms fail while they are patched: a real spectrum, with
+    # or without zero imaginary parts, and psi's real coefficients must take
+    # the real transform on odd, even and folded grids alike
+    def complex_transform(*args, **kwargs):
+        raise AssertionError("complex transform")
+
+    spectrum = {-3: 1.0, 2: -0.5, 61: 2.0, 3**50: 0.1, -(3**45): -0.3, 125: 1 / 3}
+    E = generate_primes(1 << 12)
+    sched = uniform_schedule(E, Fraction(1, 3))
+    trial = select(E, sched, 29)
+    monkeypatch.setattr(np.fft, "fft", complex_transform)
+    monkeypatch.setattr(np.fft, "ifft", complex_transform)
+    for M in (64, 7, 1 << 10):
+        sup_norm_via_grid(spectrum, grid_cap=M)
+        sup_norm_via_grid({n: complex(c, -0.0) for n, c in spectrum.items()}, grid_cap=M)
+    for k in (len(E) // 4, len(E)):
+        psi(E, trial, sched, k)
+    with pytest.raises(AssertionError, match="complex transform"):
+        sup_norm_via_grid({**spectrum, 2: -0.5 + 0.25j}, grid_cap=64)
+
 def test_psi_series_diagnostics():
     E = generate_polynomial([0, 0, 1], 3000)
     D = decompose(E, dyadic_partition(24))

@@ -1,12 +1,15 @@
 """is_s_independent decides by the s-multiset sums: a set is s-independent
-iff all its C(n + s - 1, s) sums of s-multisets are distinct (a B_s set). The
-witness search runs only on a residue collision, so every report must equal
-the earlier gate's, and sets whose search the budgets refuse are decided when
-their sums are distinct."""
+iff all its C(n + s - 1, s) sums of s-multisets are distinct (a B_s set). A
+collision names its witness from the colliding multisets, or hands a dense set
+to the witness search, so every report and refusal must equal the search's
+own, and sets whose search the budgets refuse are decided when their sums are
+distinct."""
 
 import hashlib
 import json
+import random
 from itertools import combinations_with_replacement
+from math import perm
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from lacunary import IntegerSet, RelationExplosionError, is_s_independent
 from lacunary import relations
-from lacunary.relations import P, _find_witness, _multisets, _Residues, _search_reps
+from lacunary.relations import P, _find_witness, _multisets, _Residues, _search_reps, _split
 
 import _oracles
 
@@ -75,13 +78,13 @@ def test_a_residue_collision_reaches_the_search_and_comes_back_independent():
     spy = mock.patch.object(relations, "_find_witness", wraps=relations._find_witness)
     with spy as find:
         report = is_s_independent([P, 2 * P, 5 * P], 2)
-    assert report.independent and find.called
+    assert report.independent and not find.called
     with spy as find:
         report = is_s_independent([1, 2, 4], 2)  # sums 2, 3, 4, 5, 6, 8: decided by the sums
     assert report.independent and not find.called
     with spy as find:
         report = is_s_independent([1, 2, 3], 2)  # 1 + 3 = 2 + 2
-    assert not report.independent and find.called
+    assert not report.independent and not find.called
     assert _report_tuple(report) == _oracles.reference_independence(IntegerSet((1, 2, 3)), 2, _search_reps(2))
 
 
@@ -128,3 +131,103 @@ def test_sets_the_search_budget_refuses_are_decided_by_their_sums(top, s, messag
     longest = max(_search_reps(s), key=len)
     with pytest.raises(ValueError, match=message):
         _find_witness(longest, E, _Residues(E.elements))
+
+
+def _kernel_outcome(E, s):
+    """The witness search over the representatives in turn, as is_s_independent
+    ran it before the colliding multisets named the witness: (independent,
+    relation, elements), or the refusal message."""
+    res = _Residues(E.elements)
+    try:
+        for coeffs in _search_reps(s):
+            witness = _find_witness(coeffs, E, res)
+            if witness is not None:
+                return False, coeffs, witness
+    except ValueError as exc:
+        return str(exc)
+    return True, None, None
+
+
+def _outcome(E, s):
+    try:
+        return _report_tuple(is_s_independent(E, s))
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _collision_sets(draw, s, max_size):
+    """The signed, int64-boundary and bignum sets of _sets, dense subsets of
+    1..20, and random sets holding a planted relation: two multisets of up to
+    s elements made to sum alike by one new element."""
+    kind = draw(st.sampled_from(("sets", "dense", "planted")))
+    if kind == "sets":
+        return draw(_sets(max_size))
+    if kind == "dense":
+        return IntegerSet.from_iterable(draw(st.lists(st.integers(1, 20), min_size=3, max_size=max_size, unique=True)))
+    offset = draw(st.sampled_from((0, 2**62, 2**90, -(3**60))))
+    pool = draw(st.lists(st.integers(-(2**40), 2**40), min_size=2 * s, max_size=max(2 * s, max_size - 1), unique=True))
+    left = draw(st.lists(st.sampled_from(pool[:s]), min_size=1, max_size=s))
+    right = draw(st.lists(st.sampled_from(pool[s:]), min_size=len(left), max_size=len(left)))
+    return IntegerSet.from_iterable({offset + q for q in pool + [sum(left) - sum(right[:-1])]})
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_reports_and_refusals_equal_the_witness_search(data):
+    s = data.draw(st.sampled_from((2, 3, 4)), label="s")
+    E = data.draw(_collision_sets(s, {2: 14, 3: 10, 4: 9}[s]), label="E")
+    assert _outcome(E, s) == _kernel_outcome(E, s)
+
+
+def _straddle_set(seed):
+    """About 135 random 81-bit integers with 3x = a + b + c planted."""
+    rng = random.Random(seed)
+    elems = {rng.getrandbits(81) for _ in range(132)}
+    a, b = rng.sample(sorted(elems), 2)
+    x = rng.getrandbits(80)
+    return IntegerSet.from_iterable(elems | {x, 3 * x - a - b})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_a_run_of_equal_coefficients_across_the_split_takes_the_kernels_placement(seed):
+    E = _straddle_set(seed)
+    coeffs = (-3, 1, 1, 1)
+    # the key is (positions 2.., positions ..2): the +1 run straddles the split
+    assert coeffs in _search_reps(3) and _split(coeffs, E) == 2
+    want = _kernel_outcome(E, 3)
+    with mock.patch.object(relations, "_find_witness", side_effect=AssertionError("searched")):
+        got = _outcome(E, 3)
+    assert got == want and got[1] == coeffs
+    # positions 2 and 3 come first in the key and take the two least indices
+    # of the run, so position 1 holds its greatest, not its least
+    ones = sorted(E.elements.index(q) for q in got[2][1:])
+    assert [E.elements.index(q) for q in got[2][1:]] == [ones[2], ones[0], ones[1]]
+
+
+def test_a_refused_representative_before_the_witness_refuses_the_set():
+    # s = 4 on 70 elements: length 7 is past MITM_TIME_BUDGET (perm(70, 4) >
+    # 20,000,000) and comes before the planted length-8 relation
+    rng = random.Random(7)
+    elems = sorted({rng.getrandbits(81) for _ in range(69)})
+    a, b, c, d, e, f, g = rng.sample(elems, 7)
+    E = IntegerSet.from_iterable(elems + [a + b + c + d - e - f - g])
+    message = (
+        f"independence search too large: |E|=70, relation length 7 (enumeration {perm(70, 6)} tuples exceeds budgets)"
+    )
+    with mock.patch.object(relations, "_find_witness", side_effect=AssertionError("searched")):
+        assert _outcome(E, 4) == message
+    assert _kernel_outcome(E, 4) == message
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+def test_the_certificates_dependent_cases_are_named_without_the_search(seed, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import Certificates
+
+    sets, _ = Certificates(seed)._raw_sets()
+    for name in ("dfs_dependent", "int64_dependent", "bignum_dependent"):
+        E = IntegerSet.from_iterable(sets[name])
+        want = _kernel_outcome(E, 2)
+        with mock.patch.object(relations, "_find_witness", side_effect=AssertionError("searched")):
+            assert _outcome(E, 2) == want, name

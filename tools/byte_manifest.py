@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lacunary import (  # noqa: E402
-    blockwise_schedule, decompose, decreasing_density_schedule, dyadic_partition, generate_primes
+    IntegerSet, blockwise_schedule, decompose, decreasing_density_schedule, dyadic_partition, generate_primes
 )
 from lacunary._util import canonical_json  # noqa: E402
 from lacunary.cli import main  # noqa: E402
@@ -98,6 +99,8 @@ CLI = [
     ("independence-geometric", ["independence", "--set", "{geo.json}", "--s", "2"]),
     ("independence-primes", ["independence", "--set", "{primes.json}", "--s", "2"]),
     ("independence-integers", ["independence", "--set", "{ints.json}", "--s", "3"]),
+    ("independence-planted-length-4", ["independence", "--set", "{planted-4.json}", "--s", "2"]),
+    ("independence-planted-straddle", ["independence", "--set", "{planted-straddle.json}", "--s", "3"]),
     ("weyl-means-json", ["weyl", "--set", "{poly.json}", "--points", "1/2,1/3,0.41421356237309515"]),
     ("weyl-means-k-bignum", ["weyl", "--set", "{geo.json}", "--k", "50", "--points", "1/5,2/7,0.6180339887498949"]),
     ("weyl-scan-json", ["weyl", "--set", "{primes.json}", "--ks", "10,20,46", "--points", "1/2,1/4,0.3183098861837907"]),
@@ -138,13 +141,24 @@ def _payload(doc: dict) -> str:
 
 
 def _write_inputs(work: Path) -> None:
-    """The schedule and config files the invocations read, written through
+    """The schedule, set and config files the invocations read, written through
     the library: an entries schedule and a block schedule of the primes <= 200,
-    and the two small pipeline configs."""
+    two dependent sets, and the two small pipeline configs. The sets hold one
+    planted relation each: p + q = r + t among about 200 int64 elements below
+    2^50, and 3x = a + b + c among about 135 elements below 2^81, whose run of
+    +1 coefficients the witness order splits."""
     E = generate_primes(200)
     D = decompose(E, dyadic_partition(7))
     (work / "blocks.json").write_text(blockwise_schedule(D, [min(k, len(b)) for k, b in enumerate(D.blocks)]).to_json())
     (work / "entries.json").write_text(decreasing_density_schedule(E, "power_law", 0.5).to_json())
+    rng = random.Random(29)
+    elems = {rng.randrange(1 << 40, 1 << 50) for _ in range(196)}
+    p, q, r = rng.sample(sorted(elems), 3)
+    (work / "planted-4.json").write_text(IntegerSet.from_iterable(elems | {p + q - r}).to_json())
+    elems = {rng.getrandbits(81) for _ in range(132)}
+    a, b = rng.sample(sorted(elems), 2)
+    x = rng.getrandbits(80)
+    (work / "planted-straddle.json").write_text(IntegerSet.from_iterable(elems | {x, 3 * x - a - b}).to_json())
     (work / "block-config.json").write_text(ExperimentConfig(**SMALL_BLOCK).to_json())
     (work / "cert-config.json").write_text(ExperimentConfig(**{**SMALL_CERT, "trials": 3}).to_json())
 
