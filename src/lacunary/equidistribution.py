@@ -35,7 +35,8 @@ EXCLUSION_RADIUS_SCALE = 0.05
 _EXCLUSION_JSON = {"denominator_cap": EXCLUSION_DENOMINATOR, "radius_scale": EXCLUSION_RADIUS_SCALE}
 # a modulus below one CPython digit keeps a bignum % on its single-digit path
 _DIGIT = 1 << sys.int_info.bits_per_digit
-_FOLD_TERMS = 8  # a parity class this small is summed directly; the other takes a half-size FFT
+_FOLD_TERMS = 8  # residue classes this small are summed directly; the rest take M/q-point FFTs
+_FOLD_CHUNK = 1 << 12  # grid points per step of the folded recombination
 
 
 @dataclass(frozen=True)
@@ -330,28 +331,51 @@ def _fast_grid_size(n: int) -> int:
     return best
 
 
-def _phases(c: float, b: int, M: int, L: int) -> np.ndarray:
-    """c e(-b t / M) for t < L: the outer product of two sqrt(L)-point tables over exact residues."""
-    s = math.isqrt(L - 1) + 1
-    step = -2j * np.pi / M
-    hi = c * np.exp(step * (np.arange(-(-L // s)) * (b * s % M) % M))
-    return np.multiply.outer(hi, np.exp(step * (np.arange(s) * b % M))).ravel()[:L]
+def _fold_classes(bins: np.ndarray, M: int) -> tuple[int, np.ndarray]:
+    """The fold of the bins b = n mod M: the modulus q among the divisors 6, 4
+    and 2 of M whose dense classes, those of more than _FOLD_TERMS terms, are
+    the least share of its q classes while the sparse ones hold at most
+    _FOLD_TERMS terms in all, the larger q on a tie; and its dense-class flags.
+    q = 1 with the one class dense where no q leaves a class sparse."""
+    counts12 = np.bincount(bins % 12, minlength=12)  # counts mod 6, 4 and 2 sum from these
+    q, dense = 1, np.ones(1, dtype=bool)
+    for m in (6, 4, 2):
+        if M % m == 0:
+            counts = counts12.reshape(-1, m).sum(axis=0)
+            big = counts > _FOLD_TERMS
+            if counts[~big].sum() <= _FOLD_TERMS and np.count_nonzero(big) * q < np.count_nonzero(dense) * m:
+                q, dense = m, big
+    return q, dense
 
 
 def _real_sup(bins: np.ndarray, coeffs: np.ndarray, M: int) -> float:
-    """_grid_sup's real path, on the bins n mod M of its frequencies."""
-    odd = (bins & 1).astype(bool)
-    n_odd = int(np.count_nonzero(odd))
-    if M % 2 or min(n_odd, len(bins) - n_odd) > _FOLD_TERMS:
+    """_grid_sup's real path, on the bins b = n mod M of its frequencies."""
+    q, dense = _fold_classes(bins, M)
+    if q == 1:
         return float(np.max(np.abs(np.fft.rfft(np.bincount(bins, coeffs, M)))))
-    dense = odd if 2 * n_odd >= len(bins) else ~odd
-    Y = np.fft.rfft(np.bincount(bins[dense] >> 1, coeffs[dense], M // 2))
-    if dense is odd:
-        Y *= _phases(1.0, 1, M, len(Y))
-    A = np.zeros_like(Y)
-    for b, c in zip(bins[~dense].tolist(), coeffs[~dense].tolist()):
-        A += _phases(c, b, M, len(Y))
-    return max(float(np.max(np.abs(A + Y))), float(np.max(np.abs(A - Y))))
+    L, (idx, res) = M // q, np.divmod(bins, q)
+    T = L // 2 + 1
+    rows = np.flatnonzero(dense)
+    Y = np.empty((len(rows), T), dtype=complex)
+    for Y_r, r in zip(Y, rows.tolist()):  # one M/q-point grid at a time
+        # the other classes' terms add +0.0, which leaves every bin as it was
+        np.fft.rfft(np.bincount(idx, np.where(res == r, coeffs, 0.0), L), out=Y_r)
+    sparse = np.flatnonzero(~dense[res])
+    b = np.concatenate([rows, bins[sparse]])  # each row's frequency: its class, or its bin
+    c = np.concatenate([np.ones(len(rows)), coeffs[sparse]])
+    u = np.multiply.outer(b, np.arange(q)) % q
+    roots = _quarter_exact(np.exp((2j * np.pi / q) * u), u, q).conj().T  # e(-b u / q), one row per u
+    # row k's twiddle c e(-b t / M) at t = t0 + i is hi[k, t0 / C] lo[k, i], each over exact residues
+    C = min(T, _FOLD_CHUNK)
+    step = -2j * np.pi / M
+    lo = np.exp(step * (np.multiply.outer(b, np.arange(C)) % M))
+    hi = c[:, None] * np.exp(step * (np.multiply.outer(b * C % M, np.arange(-(-T // C))) % M))
+    sup = 0.0
+    for j, t0 in enumerate(range(0, T, C)):
+        W = lo[:, : T - t0] * hi[:, j, None]
+        W[: len(rows)] *= Y[:, t0 : t0 + C]
+        sup = max(sup, float(np.max(np.abs(roots @ W))))  # p(t0 + i + u M / q), one row per u
+    return sup
 
 
 def _grid_sup(freqs: np.ndarray, coeffs: np.ndarray, N: int, size: int, grid_cap: int) -> GridSupReport:
@@ -370,12 +394,17 @@ def _grid_sup(freqs: np.ndarray, coeffs: np.ndarray, N: int, size: int, grid_cap
 
     Complex coefficients take the complex inverse FFT of _grid_values; real
     (float) ones, psi's, take rfft of its real part, whose M//2 + 1 outputs
-    hold every modulus (the value at M - t conjugates the one at t). When M is
-    even and one parity class of the bins b = n mod M holds at most _FOLD_TERMS
-    terms (the odd primes and 2), the grid folds by parity (Cooley-Tukey): with
-    Y = rfft of the dense class at bin b >> 1 of M/2 points and A(t) = the sum
-    of the sparse terms' c e(-b t / M), p(t) = A + w Y and p(t + M/2) = +-(A -
-    w Y) for t <= M/4, w = e(-t/M) if the dense class is odd and 1 if even.
+    hold every modulus (the value at M - t conjugates the one at t). The real
+    grid folds by the residue classes of the bins b = n mod M (Cooley-Tukey)
+    modulo q, the divisor of M among 6, 4 and 2 that leaves the least share of
+    dense classes while the sparse ones hold at most _FOLD_TERMS terms in all
+    (_fold_classes): q = 6 on the primes when 6 | M, as at 933,120 points, q =
+    4 on the primes and the squares at 2^20. Each dense class r takes the
+    M/q-point rfft Y_r of its terms at bin b // q, one after another; with the
+    sparse terms as rows of one coefficient, p(t + u M/q) = sum over rows of
+    e(-b u / q) e(-b t / M) row(t) for t <= M/(2q) and u < q, every modulus
+    again, recombined _FOLD_CHUNK points of t at a time. Where no q leaves a
+    sparse class (every class dense, or M odd) the plain rfft runs.
     """
     if grid_cap < 1:
         raise ValueError(f"grid_cap must be >= 1, got {grid_cap}")
@@ -386,7 +415,7 @@ def _grid_sup(freqs: np.ndarray, coeffs: np.ndarray, N: int, size: int, grid_cap
     if np.iscomplexobj(coeffs):
         S = float(np.max(np.abs(_grid_values(freqs, coeffs, M))))
     else:
-        S = _real_sup(np.mod(freqs, M).astype(np.int64), coeffs, M)
+        S = _real_sup(np.mod(freqs, M).astype(np.int64, copy=False), coeffs, M)
     return GridSupReport(
         coarse_sup=S,
         bound=5.0 * S,
@@ -431,8 +460,9 @@ def psi(
     degree, capped at grid_cap. Like the 4N grid of sup_norm_via_grid it
     certifies the true sup to within 4.66x, and its FFT avoids Bluestein's
     algorithm; a grid cut below 4N by the cap is uncertified. The coefficients
-    (flag/count - delta/sigma_k) are real: the sup comes from a real-input FFT,
-    of half size when M is even and at most _FOLD_TERMS terms have even (or odd) bins.
+    (flag/count - delta/sigma_k) are real: the sup comes from real-input FFTs
+    of M/q points, one per dense residue class mod q of the frequencies
+    (_grid_sup), M/3 points in all on the primes when 6 | M.
     """
     if not 1 <= k <= len(E):
         raise ValueError("k must satisfy 1 <= k <= |E|")
@@ -448,11 +478,13 @@ def psi(
     sigma_f = float(sigma_k)
     dens = schedule.density_floats()[:k]
     coeffs = np.where(flags, 1.0 / count, 0.0) - dens / sigma_f
-    # zero coefficients leave the support, and with it the degree N
-    keep = np.flatnonzero(coeffs != 0.0)
-    N = abs(E.elements[keep[-1]]) if len(keep) else 0
     n_k = abs(E.elements[k - 1])
-    report = _grid_sup(E.array[:k][keep], coeffs[keep], N, _fast_grid_size(4 * N), grid_cap)
+    freqs, N = E.array[:k], n_k
+    if not coeffs.all():  # zero coefficients leave the support, and with it the degree N
+        keep = np.flatnonzero(coeffs)
+        freqs, coeffs = freqs[keep], coeffs[keep]
+        N = abs(E.elements[keep[-1]]) if len(keep) else 0
+    report = _grid_sup(freqs, coeffs, N, _fast_grid_size(4 * N), grid_cap)
     a_k = math.sqrt(12.0 * sigma_f * ln_int(n_k)) if n_k > 1 else None
     return PsiPoint(
         k=k,

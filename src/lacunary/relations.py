@@ -354,6 +354,24 @@ def _find_witness(coeffs: tuple[int, ...], E: IntegerSet, res: _Residues) -> tup
     return _mitm_witness(coeffs, E.elements, h, res) if h else _dfs_witness(coeffs, E.elements, res)
 
 
+def _dense(same: np.ndarray, repeats: int, rows: int) -> bool:
+    """_collision_report's dense rule on `rows` sorted sums whose adjacent
+    entries are equal where `same` holds, `repeats` times: the square of the
+    ordered pairs of equal sums, g(g - 1) for a run of g, exceeds `rows`.
+    The pairs lie between 2 repeats (runs of two) and repeats (repeats + 1)
+    (one run), so only between those bounds are the runs walked, over the
+    positions of the repeats: a run of g is g - 1 consecutive ones."""
+    if (2 * repeats) ** 2 > rows or (repeats * (repeats + 1)) ** 2 <= rows:
+        return (2 * repeats) ** 2 > rows
+    pairs = run = 0
+    pos = np.flatnonzero(same).tolist()
+    for a, b in zip(pos, pos[1:] + [None]):
+        run += 1
+        if b != a + 1:
+            pairs, run = pairs + run * (run + 1), 0
+    return pairs**2 > rows
+
+
 def _collision_report(
     E: IntegerSet, s: int, reps: tuple[tuple[int, ...], ...], rows: int, hits: np.ndarray
 ) -> IndependenceReport | None:
@@ -421,9 +439,9 @@ def is_s_independent(E: IntegerSet | Sequence[int], s: int) -> IndependenceRepor
         same = sums[1:] == sums[:-1]
         if not (repeats := np.count_nonzero(same)):
             return IndependenceReport(independent=True, s=s)
-        # twice the repeats is a floor on the ordered colliding pairs when equal residues
-        # are equal sums (2s max|n| < P), so a set past the dense rule by it skips the grouping
-        if (2 * repeats) ** 2 <= rows or 2 * s * E.max_abs >= P:
+        # while 2s max|n| < P equal residues are equal sums, so a set past the dense rule
+        # by its residue runs skips the grouping
+        if 2 * s * E.max_abs >= P or not _dense(same, repeats, rows):
             dup = sums[1:][same]  # the repeated residue sums, rising; a row holding one collides
             hits = table[dup[np.minimum(dup.searchsorted(raw), len(dup) - 1)] == raw]
             if (report := _collision_report(E, s, reps, rows, hits)) is not None:

@@ -35,6 +35,7 @@ from lacunary import (
 )
 from lacunary.equidistribution import (
     _fast_grid_size,
+    _fold_classes,
     _grid_sup,
     _grid_values,
     character_values,
@@ -785,6 +786,17 @@ def test_grid_sup_of_real_coefficients_keeps_one_float_grid():
     assert _grid_sup_peak(E.array, coeffs + 0.5j, E.max_abs) < 32 << 20
 
 
+def test_folded_grid_sup_keeps_no_full_size_grid():
+    # at M = 2^20 both sets fold mod 4 into two dense classes: two 2 MiB rfft
+    # outputs kept, one 2 MiB float grid at a time, and chunks of the
+    # recombination, against the 8 MiB grid and 8 MiB rfft of the plain transform
+    for E in (generate_primes(1 << 18), generate_polynomial([0, 0, 1], 1 << 9)):
+        assert E.max_abs <= 1 << 18
+        coeffs = np.linspace(-1.0, 1.0, len(E))
+        assert _fold_classes(np.mod(E.array, 1 << 20), 1 << 20)[0] == 4
+        assert _grid_sup_peak(E.array, coeffs, E.max_abs) < 8 << 20
+
+
 @pytest.mark.parametrize("M", [1, 2, 7, 64, 125, 1000, 933_120])
 def test_real_transform_sup_matches_the_complex_loop(M):
     # colliding bins, -0.0 coefficients, negative and bignum frequencies; the two
@@ -813,12 +825,14 @@ def _parity_spectrum(rng, M, parity, dense, sparse):
     return spectrum
 
 
-@pytest.mark.parametrize("M", [1, 2, 7, 20, 125, 1024, 933_120])
+@pytest.mark.parametrize("M", [1, 2, 7, 12, 20, 36, 125, 1024, 2500, 933_120, 1 << 20])
 @pytest.mark.parametrize("parity", [1, 0], ids=["odd_dense", "even_dense"])
 @pytest.mark.parametrize("sparse", [0, 1, 8, 9])
 def test_parity_fold_matches_the_plain_transform(M, parity, sparse):
-    # an even grid folds when one parity class holds at most _FOLD_TERMS = 8
-    # terms; 9 terms, and every odd grid, take the plain transform unchanged
+    # a grid folds mod q = 6, 4 or 2 dividing M when its classes of at most
+    # _FOLD_TERMS = 8 terms hold at most 8 in all; 9 terms of one parity, which
+    # spread over two or more classes mod 4 and mod 6, and every odd grid take
+    # the plain transform unchanged
     rng = np.random.default_rng([M, parity, sparse])
     spectrum = _parity_spectrum(rng, M, parity, 300, sparse)
     assert sum(n % 2 != parity for n in spectrum) == sparse and len(spectrum) == 300 + sparse
@@ -831,12 +845,16 @@ def test_parity_fold_matches_the_plain_transform(M, parity, sparse):
     assert abs(got.coarse_sup - plain) <= 1e-12 * float(np.sum(np.abs(coeffs)))
 
 
-@pytest.mark.parametrize("M", [2, 20, 1024, 933_120])
+@pytest.mark.parametrize("M", [2, 12, 20, 36, 1024, 2500, 933_120, 1 << 20])
 def test_parity_fold_on_small_spectra_primes_and_squares(M):
     rng = np.random.default_rng(M)
+    primes = generate_primes(4000).elements
     cases = [
-        {n: float(rng.standard_normal()) for n in generate_primes(4000)},  # odd-dense, 2 alone
-        {n: float(rng.standard_normal()) for n in generate_polynomial([0, 0, 1], 300)},  # both classes dense
+        {n: float(rng.standard_normal()) for n in primes},  # odd-dense, 2 alone; dense mod 6 in 1 and 5, 3 alone
+        # 2 and 3 with 6 multiples of 6 are 8 sparse terms mod 6; with 7 they are 9
+        {n: float(rng.standard_normal()) for n in (*primes, *range(6, 42, 6))},
+        {n: float(rng.standard_normal()) for n in (*primes, *range(6, 48, 6))},
+        {n: float(rng.standard_normal()) for n in generate_polynomial([0, 0, 1], 300)},  # dense mod 4 in 0 and 1
         {n: float(rng.standard_normal()) for n in (3, -5, 2**70, 3**50, 2**63 - 1)},  # both classes sparse
         {4 * n: float(rng.standard_normal()) for n in range(1, 400)},  # even only
     ]

@@ -1016,7 +1016,7 @@ SMALL_BLOCK_PAYLOAD_SHA256 = "d172130ef54243ffa9304e0ece9bd94772e5cdaadcf15c2630
 SMALL_CERT_NO_FFT_PAYLOAD_SHA256 = "f3654fde93114cd5375ddf317d6631938bd9970e6b195de3ea9e444ca30f6978"
 # the whole small certification record: psi at two checkpoints and the scan.
 # It hashes FFT and np.exp output, so it holds for one numpy build (2.4.6 on x86-64)
-SMALL_CERT_PAYLOAD_SHA256 = "fada0defd139e4e01dc1e55ef10d41d53552313b7b7cd58df972a2a0e8b8330f"
+SMALL_CERT_PAYLOAD_SHA256 = "f3e38dc6e954663f1e4de9944997add54c87f1b670483d28355c8bc68d42a080"
 
 
 def test_config_hashes_and_record_bytes_pinned():

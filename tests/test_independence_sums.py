@@ -8,7 +8,8 @@ distinct."""
 import hashlib
 import json
 import random
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, islice
 from math import perm
 from pathlib import Path
 from unittest import mock
@@ -72,9 +73,10 @@ def test_multiset_table_lists_each_multiset_once_in_order(n, s):
     assert table.dtype.name == "int32" and not table.flags.writeable
 
 
-def test_a_residue_collision_reaches_the_search_and_comes_back_independent():
-    # every multiple of P has residue 0, so all sums collide; the set is
-    # 2-independent all the same, which only the exact search can tell
+def test_colliding_residue_sums_are_decided_by_their_exact_sums_without_the_search():
+    # every multiple of P has residue 0, so all sums collide; the exact sums of
+    # the colliding rows differ, so the set is 2-independent, and the one exact
+    # collision of {1, 2, 3} names its witness
     spy = mock.patch.object(relations, "_find_witness", wraps=relations._find_witness)
     with spy as find:
         report = is_s_independent([P, 2 * P, 5 * P], 2)
@@ -231,3 +233,18 @@ def test_the_certificates_dependent_cases_are_named_without_the_search(seed, mon
         want = _kernel_outcome(E, 2)
         with mock.patch.object(relations, "_find_witness", side_effect=AssertionError("searched")):
             assert _outcome(E, 2) == want, name
+
+
+def test_dense_small_sets_go_to_the_search_without_the_grouping():
+    # a run of g equal sums holds g(g - 1) ordered pairs; where the square of
+    # their total passes the 21 sums while twice the g - 1 repeats does not,
+    # the set goes to the witness search without grouping the colliding rows
+    dense = []
+    for elems in islice(combinations(range(1, 21), 6), 3000):
+        runs = Counter(a + b for a, b in combinations_with_replacement(elems, 2)).values()
+        if (2 * sum(g - 1 for g in runs)) ** 2 <= 21 < sum(g * (g - 1) for g in runs) ** 2:
+            dense.append(IntegerSet(elems))
+    assert len(dense) == 92
+    with mock.patch.object(relations, "_collision_report", side_effect=AssertionError("grouped")):
+        for E in dense:
+            assert _outcome(E, 2) == _kernel_outcome(E, 2)
