@@ -108,6 +108,12 @@ def character_values(E: IntegerSet | Sequence[int], point: CirclePoint, k: int |
 def _characters(E: IntegerSet, points: Sequence[CirclePoint], k: int) -> Iterator[np.ndarray]:
     """The characters of the first k elements of E at each point in turn.
 
+    Every point's characters are written into one k-length complex buffer,
+    through one k-length int64 buffer of residues or phases, both allocated
+    once per call: each yield is the same array, overwritten by the next
+    point, so a consumer reads a point's characters before it asks for the
+    next.
+
     The moduli q of the rational points a/q whose |n_k|*a reaches INT64_SAFE
     are packed, in increasing order, greedily into groups whose lcm stays
     below one CPython digit, where a bignum % takes its single-digit path (a
@@ -123,9 +129,10 @@ def _characters(E: IntegerSet, points: Sequence[CirclePoint], k: int) -> Iterato
         moduli[-1] = math.lcm(moduli[-1], q)
         group[q] = len(moduli) - 1
     reduced, last = {}, {group[p.q]: i for i, p in enumerate(points) if p.kind == "rational" and p.q in group}
+    out, residues = np.empty(k, dtype=np.complex128), np.empty(k, dtype=np.int64)
     for i, p in enumerate(points):
         if p.kind == "angle":
-            yield _angle_characters(E, arr, p.theta, k)
+            yield _angle_characters(E, arr, p.theta, out, residues.view(np.uint64))
             continue
         a, q = p.a, p.q
         n = arr
@@ -133,31 +140,46 @@ def _characters(E: IntegerSet, points: Sequence[CirclePoint], k: int) -> Iterato
             g = group[q]
             if g not in reduced:
                 reduced[g] = (arr % moduli[g]).astype(np.int64, copy=False)
-            n = (reduced.pop(g) if i == last[g] else reduced[g]) % q
+            n = np.remainder(reduced.pop(g) if i == last[g] else reduced[g], q, out=residues)
             if (q - 1) * a >= INT64_SAFE:
                 n = n.astype(object)  # the product below stays under q*a
-        residues = (n * a % q).astype(np.int64, copy=False)
+        if n.dtype == np.int64:
+            np.remainder(np.multiply(n, a, out=residues), q, out=residues)
+        else:
+            residues[:] = n * a % q
         # at most q distinct residues: when q <= k, evaluate each once and
         # gather; np.exp sees the same inputs, so the values are the same
-        steps = np.arange(q) if q <= k else residues
-        vals = _quarter_exact(np.exp((2j * np.pi / q) * steps), steps, q)
-        yield vals[residues] if q <= k else vals
-        del n, residues, steps, vals  # not kept while the next point is computed
+        if q <= k:
+            steps = np.arange(q)
+            np.take(_quarter_exact(np.exp((2j * np.pi / q) * steps), steps, q), residues, out=out, mode="clip")
+        else:
+            _quarter_exact(np.exp(np.multiply(2j * np.pi / q, residues, out=out), out=out), residues, q)
+        yield out
+        del n  # the object residues are not kept while the next point is computed
 
 
-def _angle_characters(E: IntegerSet, arr: np.ndarray, theta: float, k: int) -> np.ndarray:
+def _angle_characters(E: IntegerSet, arr: np.ndarray, theta: float, out: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """e(n*theta) for the first k = len(arr) elements into `out`, with
+    `phases` a k-length uint64 buffer; the phase fractions are written to
+    out's real part, so each step runs in place at one dtype."""
     num, den = theta.as_integer_ratio()
     mask = den - 1  # den = 2^b, so n*num mod den is the low b bits of n*num
+    fracs = out.real
     if den <= 1 << 64:
         # the uint64 product wraps mod 2^64, two's complement covers n < 0,
         # and the float conversion rounds once, as int / int does
-        low = arr.view(np.uint64) if arr.dtype == np.int64 else (arr & mask).astype(np.uint64)
-        phases = low * np.uint64(num) & np.uint64(mask)
-        fracs = phases.astype(np.float64) / float(den)
+        if arr.dtype == np.int64:
+            np.multiply(arr.view(np.uint64), np.uint64(num), out=phases)
+        else:
+            phases[:] = arr & mask
+            np.multiply(phases, np.uint64(num), out=phases)
+        np.bitwise_and(phases, np.uint64(mask), out=phases)
+        np.divide(phases, float(den), out=fracs)
     else:
         # cutting n to its low b bits first keeps each product below 2^(2b)
-        fracs = np.fromiter((((n & mask) * num & mask) / den for n in islice(E.elements, k)), dtype=np.float64, count=k)
-    return np.exp(2j * np.pi * fracs)
+        fracs[:] = np.fromiter((((n & mask) * num & mask) / den for n in islice(E.elements, len(arr))), dtype=np.float64, count=len(arr))
+    out.imag = 0.0
+    return np.exp(np.multiply(2j * np.pi, out, out=out), out=out)
 
 
 def rational_points(max_denominator: int) -> list[CirclePoint]:
@@ -245,9 +267,9 @@ def equidistribution_scan(E: IntegerSet, ks: Sequence[int], points: Sequence[Cir
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1 or ks[-1] > len(E):
         raise ValueError("checkpoints must lie in 1..|E|")
-    # one point's running sums at a time, none held by map while the next
-    # point's characters are computed
-    sums = map(np.cumsum, _characters(E, points, ks[-1]))
+    # each point's running sums overwrite its characters in their buffer,
+    # read before the next point's characters are written there
+    sums = map(lambda vals: np.cumsum(vals, out=vals), _characters(E, points, ks[-1]))
     columns = list(map(lambda cs: [float(abs(cs[k - 1])) / k for k in ks], sums))
     moduli = tuple(tuple(col[i] for col in columns) for i in range(len(ks)))
     maxima = tuple(_max_off_exclusion(row, [is_excluded(p, k) for p in points]) for k, row in zip(ks, moduli))

@@ -34,6 +34,7 @@ from lacunary import (
     weyl_means,
 )
 from lacunary.equidistribution import (
+    _characters,
     _fast_grid_size,
     _fold_classes,
     _grid_sup,
@@ -344,6 +345,44 @@ def test_weyl_group_residues_released_after_their_last_point():
     E.array
     points = [CirclePoint.rational(2**26 + 3 * i + 1, 2**34 + 2 * i + 1) for i in range(12)]
     assert _weyl_peak(E, points) < _weyl_peak(E, points[:2]) + 8 * len(E)
+
+
+@pytest.mark.parametrize("set_name", ["squares", "geometric", "signed"])
+def test_characters_fill_one_buffer_per_call(set_name):
+    # rational points with q <= k (a gathered table), q > k, and grouped wide
+    # moduli, and angles on either side of 2^64: every yield is the one buffer,
+    # holding the point's characters when it is read
+    E = {
+        "squares": lambda: generate_polynomial([0, 0, 1], 3000),
+        "geometric": lambda: generate_geometric(3, 300),
+        "signed": lambda: IntegerSet.from_iterable((-1) ** j * j**12 for j in range(1, 36)),
+    }[set_name]()
+    texts = (*_PINNED_WEYL_POINTS["mixed"], "5/100003", f"{2**62 + 1}/{2**63 - 25}", "0/1", "1/2")
+    points = [CirclePoint.parse(t) for t in texts]
+    k = len(E)
+    first = None
+    for p, vals in zip(points, _characters(E, points, k), strict=True):
+        first = vals if first is None else first
+        assert np.shares_memory(vals, first) and vals.shape == (k,)
+        assert vals.tobytes() == character_values(E, p, k).tobytes(), p.label()
+
+
+def test_weyl_means_and_scan_peak_on_the_squares():
+    # squares <= 10^10 at eight mixed points: one complex and one int64 buffer
+    # of 10^5 elements (2.3 MiB) and per-point temporaries below one buffer;
+    # allocating each point's characters and running sums afresh peaked at 4.58 MiB
+    E = _PINNED_WEYL_SETS["squares"]()
+    E.array
+    points = [CirclePoint.parse(t) for t in _PINNED_WEYL_POINTS["mixed"]]
+    ks = [len(E) * i // 4 for i in range(1, 5)]
+    for run in (lambda: weyl_means(E, len(E), points), lambda: equidistribution_scan(E, ks, points)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
 
 
 class _CountedMods(np.ndarray):
@@ -814,7 +853,7 @@ def test_real_transform_sup_matches_the_complex_loop(M):
     assert abs(got.coarse_sup - complex_sup) <= 1e-12 * float(np.sum(np.abs(coeffs)))
 
 
-def _parity_spectrum(rng, M, parity, dense, sparse):
+def _residue_class_spectrum(rng, M, parity, dense, sparse):
     """`dense` terms at frequencies of one parity and `sparse` at the other,
     with negative, int64-boundary and bignum frequencies among them."""
     spectrum = {}
@@ -834,7 +873,7 @@ def test_parity_fold_matches_the_plain_transform(M, parity, sparse):
     # spread over two or more classes mod 4 and mod 6, and every odd grid take
     # the plain transform unchanged
     rng = np.random.default_rng([M, parity, sparse])
-    spectrum = _parity_spectrum(rng, M, parity, 300, sparse)
+    spectrum = _residue_class_spectrum(rng, M, parity, 300, sparse)
     assert sum(n % 2 != parity for n in spectrum) == sparse and len(spectrum) == 300 + sparse
     coeffs = np.array(list(spectrum.values()))
     got = _grid_sup(np.array(list(spectrum), dtype=object), coeffs, max(map(abs, spectrum)), M, M)
@@ -864,7 +903,7 @@ def test_parity_fold_on_small_spectra_primes_and_squares(M):
         assert abs(got.coarse_sup - _loop_real_sup(spectrum, M)) <= 1e-12 * float(np.sum(np.abs(coeffs)))
 
 
-def test_parity_fold_on_a_cap_active_psi_grid():
+def test_residue_class_fold_on_a_cap_active_psi_grid():
     # psi on the primes under a cap well below 4N: the folded grid is the capped one
     E = generate_primes(2**16)
     D = decompose(E, dyadic_partition(16))

@@ -3,12 +3,13 @@ import json
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lacunary import (
     CirclePoint,
@@ -31,6 +32,7 @@ from lacunary import (
     uniform_schedule,
     weyl_means,
 )
+from lacunary import integer_sets
 from lacunary._util import ln_int
 from lacunary.equidistribution import _grid_values
 from lacunary.integer_sets import INT64_SAFE, NUMPY_ORDER_CHECK, _abs_order_key
@@ -158,6 +160,89 @@ def test_geometric_examples():
     assert generate_geometric(2, 1).elements == (2,)
     E = generate_geometric(3, 80)
     assert E.elements[-1] == 3**80  # exact bignum, no overflow
+
+
+def _polynomial_reference(coeffs, k_max):
+    """P(1..k_max) by Horner's rule in Python ints, deduplicated and sorted by
+    the (|n|, n) key, and the count of values that collapsed."""
+    values = []
+    for k in range(1, k_max + 1):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * k + c
+        values.append(acc)
+    return tuple(sorted(set(values), key=_abs_order_key)), len(values) - len(set(values))
+
+
+def _check_polynomial(coeffs, k_max):
+    want, collapsed = _polynomial_reference(coeffs, k_max)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        E = generate_polynomial(coeffs, k_max)
+    assert E.elements == want and {type(n) for n in E} <= {int}
+    assert E.label == "P(" + ",".join(map(str, coeffs)) + f")[1..{k_max}]"
+    assert [str(w.message) for w in caught] == ([f"{collapsed} duplicate polynomial values collapsed"] if collapsed else [])
+    assert all(w.filename == __file__ for w in caught)  # stacklevel names the caller
+
+
+_COEFFICIENTS = st.one_of(
+    st.integers(-12, 12),  # small: sign changes, +-n ties and collapsing values
+    st.integers(-(2**40), 2**40),  # wide: a cubic term passes INT64_SAFE from k_max = 162
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COEFFICIENTS, min_size=2, max_size=4), st.integers(1, 2 * NUMPY_ORDER_CHECK + 50))
+@example([-25, 0, 1], 300)  # k^2 - 25 takes -24 at k = 1 and 24 at k = 7
+@example([0, -10, 1], 400)  # k^2 - 10k repeats each value at k and 10 - k
+@example([-(2**40), 2**40 - 1, 2**40 - 3, -(2**40)], 600)  # bignum values
+def test_polynomial_matches_a_python_horner_reference(coeffs, k_max):
+    assume(any(coeffs[1:]))
+    _check_polynomial(coeffs, k_max)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("bound", [INT64_SAFE - 1, INT64_SAFE], ids=["below_2^62", "at_2^62"])
+def test_polynomial_int64_bound_edges(monkeypatch, bound, sign):
+    # sum |c_i| k_max^i is INT64_SAFE - 1 (int64 Horner on an array) or
+    # INT64_SAFE (Python ints); the sign only mirrors the values
+    coeffs = [sign * (bound - 300), sign]
+    seen = []
+    sort = integer_sets._abs_sorted
+    monkeypatch.setattr(integer_sets, "_abs_sorted", lambda values: seen.append(type(values)) or sort(values))
+    _check_polynomial(coeffs, 300)
+    assert seen == [np.ndarray if bound < INT64_SAFE else list]
+
+
+def _from_iterable_inputs():
+    rng = random.Random(31)
+    int64 = [rng.randrange(-(2**50), 2**50) for _ in range(3 * NUMPY_ORDER_CHECK)]
+    ties = [n for m in rng.sample(range(1, 10**6), NUMPY_ORDER_CHECK) for n in (m, -m)] + [0, 0, 5, 5]
+    edges = [INT64_SAFE - 1, -(INT64_SAFE - 1), *range(-200, 200)]
+    return {
+        "int64": int64 + int64[:50],  # with duplicates
+        "ties": ties,
+        "edges": edges,  # |n| = INT64_SAFE - 1 stays on the numpy path
+        "at_safe": edges + [INT64_SAFE],
+        "int64_min": edges + [-(1 << 63)],
+        "bignum": [3**k * (-1) ** k for k in range(1, 400)] + [-3, 3, 9],
+        "mixed": int64 + [2**70, -(2**70), 2**63],
+        "short": [5, -5, 3, 3, -1, 0],
+        "set": set(int64),
+        "generator": (n * n - 1000 for n in range(-300, 300)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_from_iterable_inputs()))
+def test_from_iterable_matches_the_sorted_set_reference(name):
+    want = tuple(sorted(set(_from_iterable_inputs()[name]), key=_abs_order_key))
+    E = IntegerSet.from_iterable(_from_iterable_inputs()[name], name)
+    assert E.elements == want and E.label == name and {type(n) for n in E} == {int}
+
+
+@pytest.mark.parametrize("base", [2, 3, 10])
+def test_geometric_matches_powers(base):
+    assert generate_geometric(base, 700).elements == tuple(base**k for k in range(1, 701))
 
 
 def test_sumset_examples():
