@@ -67,6 +67,17 @@ def decimal_strs(elements: Sequence[int], name: str) -> list[str]:
         ) from None
 
 
+def decimal_lines(elements: Sequence[int], name: str) -> str:
+    """Each element in decimal on a line of its own, the text that
+    "\n".join([*decimal_strs(elements, name), ""]) gives, from one format call
+    (%s writes str() of each); an element too long to write is refused as
+    decimal_strs refuses it."""
+    try:
+        return ("%s\n" * len(elements)) % tuple(elements)
+    except ValueError:
+        return "\n".join([*decimal_strs(elements, name), ""])
+
+
 def fraction_strs(values: Sequence, name: str) -> list[str]:
     """Each rational as "numerator/denominator" in decimal; a part too long to
     write is refused as decimal_strs refuses it."""

@@ -96,7 +96,7 @@ def _cmd_generate(args) -> int:
     else:
         raise ValueError("choose one of --primes / --polynomial / --geometric / --sumset / --integers")
     if args.label:
-        out = IntegerSet(out.elements, args.label)
+        out = IntegerSet._part(out.elements, args.label)
     _emit(out.to_lines() if args.format == "lines" else out.to_json(indent=2), args.out_file)
     return EXIT_OK
 

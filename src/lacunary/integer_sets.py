@@ -7,7 +7,9 @@ every |n| < INT64_SAFE, else object) are built on first use and then kept.
 
 One rule puts values in the (|n|, n) order: at least NUMPY_ORDER_CHECK values
 that fit int64 with |n| < INT64_SAFE are sorted and deduplicated in numpy on
-the key 2|n| + (n > 0), any others by Python's sort. A polynomial whose
+the key 2|n| + (n > 0), any others by Python's sort. `IntegerSet(...)` checks
+that order on caller data; the generators and `from_iterable` build their
+elements in it and skip the check. A polynomial whose
 values and Horner intermediates provably stay below INT64_SAFE is evaluated
 on an int64 array; any other runs in Python ints.
 """
@@ -27,7 +29,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import Doc, check_keys, decimal_strs, fields_json_dict, json_distinct_ints, json_str, ln_int, read_json
+from ._util import (
+    Doc, check_keys, decimal_lines, decimal_strs, fields_json_dict, json_distinct_ints, json_str, ln_int, read_json
+)
 
 INT64_SAFE = 1 << 62  # |n| below this leaves int64 headroom for sums and small multiples
 # sets of at least this many elements check their order in numpy when they fit int64;
@@ -103,12 +107,14 @@ class IntegerSet(Doc):
         # the dtype is always explicit: np.array([2**63]) alone gives uint64
         return np.array(self.elements, dtype=np.int64 if self.max_abs < INT64_SAFE else object)
 
-    def _part(self, elements: tuple[int, ...], label: str) -> "IntegerSet":
-        """`elements`, an in-order subsequence of this validated set, as a set
-        named `label`. The order check of __init__ is skipped; a field added
-        to the class must be set here too."""
+    @classmethod
+    def _part(cls, elements: tuple[int, ...], label: str) -> "IntegerSet":
+        """`elements`, a tuple in (|n|, n) order by construction (a generator's
+        output, or an in-order subsequence of a validated set), as a set named
+        `label`. The order check of __init__ is skipped, so caller data never
+        comes this way; a field added to the class must be set here too."""
         assert [f.name for f in fields(IntegerSet)] == ["elements", "label"]
-        part = object.__new__(IntegerSet)
+        part = object.__new__(cls)
         object.__setattr__(part, "elements", elements)
         object.__setattr__(part, "label", label)
         return part
@@ -127,7 +133,7 @@ class IntegerSet(Doc):
 
     @classmethod
     def from_iterable(cls, values: Iterable[int], label: str = "") -> "IntegerSet":
-        return cls(_abs_sorted(list(values)), label)
+        return cls._part(_abs_sorted(list(values)), label)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -162,7 +168,7 @@ class IntegerSet(Doc):
 
     def to_lines(self) -> str:
         """One decimal integer per line, for interop with other tools."""
-        return "\n".join([*decimal_strs(self.elements, f"set {self.label!r}"), ""])
+        return decimal_lines(self.elements, f"set {self.label!r}")
 
     @classmethod
     def from_lines(cls, text: str, label: str = "") -> "IntegerSet":
@@ -219,21 +225,21 @@ def generate_polynomial(coefficients: Sequence[int], k_max: int) -> IntegerSet:
     if collapsed:
         warnings.warn(f"{collapsed} duplicate polynomial values collapsed", stacklevel=2)
     label = "P(" + ",".join(str(c) for c in coeffs) + f")[1..{k_max}]"
-    return IntegerSet(distinct, label)
+    return IntegerSet._part(distinct, label)
 
 
 def generate_primes(limit: int) -> IntegerSet:
-    """All primes <= limit by a sieve of Eratosthenes over a numpy bool
-    array, each prime p striking p^2, p^2 + p, ... in one slice; the set holds
-    Python ints. Empty below 2."""
-    if limit < 2:
-        return IntegerSet((), f"primes<={limit}")
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return IntegerSet(tuple(np.flatnonzero(sieve).tolist()), f"primes<={limit}")
+    """All primes <= limit by a sieve of Eratosthenes over the odd numbers, a
+    numpy bool array whose index i stands for 2i + 3: each odd prime p strikes
+    p^2, p^2 + 2p, ... in one slice. The set holds Python ints. Empty below 2."""
+    label = f"primes<={limit}"
+    if limit < 3:
+        return IntegerSet._part((2,) if limit == 2 else (), label)
+    sieve = np.ones((limit - 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[(p - 3) // 2]:
+            sieve[(p * p - 3) // 2 :: p] = False
+    return IntegerSet._part((2, *(2 * np.flatnonzero(sieve) + 3).tolist()), label)
 
 
 def generate_geometric(base: int, k_max: int) -> IntegerSet:
@@ -242,7 +248,7 @@ def generate_geometric(base: int, k_max: int) -> IntegerSet:
         raise ValueError("base must be >= 2")
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    return IntegerSet(tuple(accumulate(repeat(base, k_max), operator.mul)), f"{base}^k[1..{k_max}]")
+    return IntegerSet._part(tuple(accumulate(repeat(base, k_max), operator.mul)), f"{base}^k[1..{k_max}]")
 
 
 def generate_sumset(base: IntegerSet, j: int) -> IntegerSet:
@@ -261,7 +267,7 @@ def generate_integers(n_max: int) -> IntegerSet:
     """{1, ..., n_max}: the reference equidistributed sequence."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    return IntegerSet(tuple(range(1, n_max + 1)), f"1..{n_max}")
+    return IntegerSet._part(tuple(range(1, n_max + 1)), f"1..{n_max}")
 
 
 # -- growth classification --------------------------------------------------

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from ._util import (
-    Doc, check_keys, decimal_strs, fraction_strs, json_distinct_ints, json_int, json_ints, json_list, json_str, ln_int,
-    read_json, wilson_interval,
+    Doc, check_keys, decimal_lines, decimal_strs, fraction_strs, json_distinct_ints, json_int, json_ints, json_list,
+    json_str, ln_int, read_json, wilson_interval,
 )
 from .integer_sets import IntegerSet
 from .partitions import BlockDecomposition, _integers
@@ -136,7 +136,7 @@ class DensitySchedule(Doc):
         return self._floats
 
     def aligned_with(self, E: IntegerSet) -> bool:
-        return self.elements == E.elements
+        return self.elements is E.elements or self.elements == E.elements
 
     def to_json_dict(self) -> dict:
         """Blocks and per-block sigma for a blockwise schedule, else every
@@ -226,7 +226,7 @@ def _json_density(value) -> Fraction:
 def _digest(elements: Sequence[int], name: str) -> str:
     """sha256 of the elements in decimal, one per line; `name` names them if
     one is too long to write."""
-    return hashlib.sha256("\n".join([*decimal_strs(elements, name), ""]).encode()).hexdigest()
+    return hashlib.sha256(decimal_lines(elements, name).encode()).hexdigest()
 
 
 def uniform_schedule(E: IntegerSet, delta) -> DensitySchedule:

@@ -6,15 +6,16 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lacunary as L
 from lacunary import ExperimentConfig, IntegerSet, Partition
-from lacunary._util import Doc
+from lacunary._util import Doc, decimal_lines, decimal_strs
 from lacunary.equidistribution import BernsteinValidation, sup_norm_via_grid, summing_matrix_check
 from lacunary.integer_sets import GrowthReport
 from lacunary.relations import count_representations
-from lacunary.selection import DensitySchedule, DependenceEstimate, SelectionTrial
+from lacunary.selection import DensitySchedule, DependenceEstimate, SelectionTrial, _digest
 
 # 3^9013 has 4,301 digits, one more than Python writes in decimal
 BIG = 3**9013
@@ -234,3 +235,38 @@ def test_package_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"]["version"] == L.__version__
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        pytest.param((0, -1, 1, 2, -3, 3), id="signed"),
+        pytest.param((3, -(3**80), 3**200, -(10**4299)), id="bignum"),
+        pytest.param((), id="empty"),
+        pytest.param((7,), id="one"),
+        pytest.param(tuple(np.array([5, -2**40, 2**62], dtype=np.int64)), id="numpy_int64"),
+        pytest.param((np.int32(-4), np.uint64(2**63), np.int8(0)), id="numpy_mixed"),
+        pytest.param((True, False), id="bool"),
+        pytest.param((1.5, -0.0, 1e300, float("nan")), id="float"),
+        pytest.param([4, -4, 2**70], id="list"),
+    ],
+)
+def test_decimal_lines_is_the_joined_decimal_strs(elements):
+    assert decimal_lines(elements, "x") == "\n".join([*decimal_strs(elements, "x"), ""])
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        pytest.param(lambda: decimal_lines(BIG_SET.elements, "set 'big'"), id="decimal_lines"),
+        pytest.param(BIG_SET.to_lines, id="to_lines"),
+        pytest.param(lambda: _digest(BIG_SET.elements, "set 'big'"), id="digest"),
+    ],
+)
+def test_decimal_lines_refuses_a_4301_digit_element_as_decimal_strs_does(write):
+    with pytest.raises(ValueError) as want:
+        decimal_strs(BIG_SET.elements, "set 'big'")
+    assert str(want.value) == "set 'big': element 3 of 3 has 4301 digits, past the 4300 digits that can be written in decimal"
+    with pytest.raises(ValueError) as err:
+        write()
+    assert str(err.value) == str(want.value)

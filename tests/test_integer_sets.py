@@ -35,7 +35,7 @@ from lacunary import (
 from lacunary import integer_sets
 from lacunary._util import ln_int
 from lacunary.equidistribution import _grid_values
-from lacunary.integer_sets import INT64_SAFE, NUMPY_ORDER_CHECK, _abs_order_key
+from lacunary.integer_sets import INT64_SAFE, NUMPY_ORDER_CHECK, _abs_order_key, _abs_ordered
 from lacunary.relations import _search_reps
 
 from _oracles import bytearray_sieve_primes, is_prime_trial_division, naive_s_independent, relations_grouped
@@ -101,6 +101,23 @@ def test_numpy_sieve_matches_the_bytearray_sieve():
     for limit in (*range(2001), 2**16):
         assert generate_primes(limit).elements == bytearray_sieve_primes(limit), limit
     assert {type(p) for p in generate_primes(2**16)} == {int}
+
+
+def test_primes_are_in_abs_order():
+    # generate_primes builds its set without the order check; the check runs here
+    for limit in (*range(2001), 2**16):
+        assert _abs_ordered(generate_primes(limit).elements), limit
+
+
+def test_generated_sets_skip_the_order_check_that_caller_data_gets(monkeypatch):
+    calls = []
+    check = integer_sets._abs_ordered
+    monkeypatch.setattr(integer_sets, "_abs_ordered", lambda elems: calls.append(len(elems)) or check(elems))
+    generate_primes(2**16)
+    IntegerSet.from_iterable(random.Random(7).sample(range(-(10**6), 10**6), 10**4))
+    assert calls == []
+    IntegerSet((1, 2, 3))  # the public constructor still checks
+    assert calls == [3]
 
 
 _ORDER_MESSAGE = "elements must be duplicate-free and sorted by |n| (negative first on ties)"
@@ -179,7 +196,7 @@ def _check_polynomial(coeffs, k_max):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         E = generate_polynomial(coeffs, k_max)
-    assert E.elements == want and {type(n) for n in E} <= {int}
+    assert E.elements == want and {type(n) for n in E} <= {int} and _abs_ordered(E.elements)
     assert E.label == "P(" + ",".join(map(str, coeffs)) + f")[1..{k_max}]"
     assert [str(w.message) for w in caught] == ([f"{collapsed} duplicate polynomial values collapsed"] if collapsed else [])
     assert all(w.filename == __file__ for w in caught)  # stacklevel names the caller
@@ -238,11 +255,19 @@ def test_from_iterable_matches_the_sorted_set_reference(name):
     want = tuple(sorted(set(_from_iterable_inputs()[name]), key=_abs_order_key))
     E = IntegerSet.from_iterable(_from_iterable_inputs()[name], name)
     assert E.elements == want and E.label == name and {type(n) for n in E} == {int}
+    assert _abs_ordered(E.elements)
 
 
 @pytest.mark.parametrize("base", [2, 3, 10])
 def test_geometric_matches_powers(base):
-    assert generate_geometric(base, 700).elements == tuple(base**k for k in range(1, 701))
+    E = generate_geometric(base, 700)
+    assert E.elements == tuple(base**k for k in range(1, 701)) and _abs_ordered(E.elements)
+
+
+def test_integers_are_in_abs_order():
+    for n_max in (1, 2, NUMPY_ORDER_CHECK - 1, NUMPY_ORDER_CHECK, 10**4):
+        E = generate_integers(n_max)
+        assert E.elements == tuple(range(1, n_max + 1)) and _abs_ordered(E.elements)
 
 
 def test_sumset_examples():

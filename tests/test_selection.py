@@ -376,6 +376,14 @@ def test_schedule_json_empty_block_delta_checked(delta):
         DensitySchedule.from_json_dict(doc, E)
 
 
+def test_aligned_with_the_same_tuple_or_an_equal_one():
+    E = generate_primes(200)
+    sched = uniform_schedule(E, Fraction(1, 2))
+    assert sched.elements is E.elements and sched.aligned_with(E)
+    assert sched.aligned_with(IntegerSet(tuple(list(E.elements)), "copy"))
+    assert not sched.aligned_with(generate_primes(198)) and not sched.aligned_with(generate_primes(211))
+
+
 def test_elements_digest_pinned():
     # sha256 of the decimal elements, one per line, in the set's (|n|, n) order
     E = IntegerSet.from_iterable([3, -1, 2, 1, -3, 0], "ties")

@@ -76,6 +76,15 @@ CLI = [
     ),
     ("generate-polynomial", ["generate", "--polynomial", "1,0,1", "--k-max", "40", "--out-file", "{poly.json}"]),
     ("generate-geometric", ["generate", "--geometric", "--base", "3", "--k-max", "60", "--out-file", "{geo.json}"]),
+    (
+        "generate-geometric-lines",
+        ["generate", "--geometric", "--base", "3", "--k-max", "60", "--format", "lines", "--out-file", "{geo.lines}"],
+    ),
+    # 51 + 11k - k^2 on 1..40: three +-n ties and five collapsed values
+    (
+        "generate-polynomial-signed-lines",
+        ["generate", "--polynomial", "51,11,-1", "--k-max", "40", "--format", "lines", "--out-file", "{signed.lines}"],
+    ),
     ("generate-sumset", ["generate", "--sumset", "{geo.json}", "--j", "2", "--label", "sums", "--format", "lines"]),
     ("generate-integers", ["generate", "--integers", "--n-max", "30", "--out-file", "{ints.json}"]),
     ("partition-dyadic", ["partition", "--kind", "dyadic", "--k-max", "7"]),
